@@ -106,7 +106,10 @@ faults-smoke:
 # same tiny headline experiment serial and with --trial-jobs 2 must
 # produce identical result documents -- only the recorded fan-out
 # settings (params/job trial_jobs, provenance) may differ.  Exercises both
-# fan-out grains (config screening + trials) through the real CLI.
+# experiment fan-out grains (config screening + trials) through the real
+# CLI, then the engine and lint fan-outs: `select` must print the same
+# probes and joint gain at --jobs 1 and 2, and `check src` the same
+# findings.
 parallel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli headline \
 		--configs 1 --trials 6 --seed 12 --mode table \
@@ -122,6 +125,17 @@ parallel-smoke:
 		[d['job'].pop('trial_jobs', None) for d in docs if d.get('job')]; \
 		assert docs[0] == docs[1], 'parallel run diverged from serial'; \
 		print('parallel-smoke: serial and --trial-jobs 2 documents identical')"
+	for jobs in 1 2; do \
+		PYTHONPATH=src $(PYTHON) -m repro.cli select --seed 2017 --probes 3 \
+			--jobs $$jobs | grep -E '^(probes|joint gain)' \
+			> /tmp/repro-parallel-select-$$jobs.txt || exit 1; \
+		PYTHONPATH=src $(PYTHON) -m repro.cli check src --jobs $$jobs \
+			> /tmp/repro-parallel-check-$$jobs.txt; \
+	done
+	test -s /tmp/repro-parallel-select-1.txt
+	cmp /tmp/repro-parallel-select-1.txt /tmp/repro-parallel-select-2.txt
+	cmp /tmp/repro-parallel-check-1.txt /tmp/repro-parallel-check-2.txt
+	@echo "parallel-smoke: select and check identical at --jobs 1 and 2"
 
 # Service smoke (docs/SERVICE.md): spool three recon jobs, serve under
 # a session budget to simulate a mid-job kill (exit 3), resume to

@@ -19,10 +19,14 @@ walks; this module replaces that inner loop with three ideas:
   floating-point shapes -- and therefore the results, bit for bit -- do
   not depend on how the work is chunked across processes;
 * **opt-in multiprocessing** -- ``n_jobs > 1`` fans the scoring blocks
-  out over a fork-based pool (the inference handle is inherited through
-  fork, never pickled).  Selection results are identical for every
-  ``n_jobs`` because block shapes are fixed and the final argmax scan
-  always runs serially over all gains in canonical candidate order.
+  out through :class:`repro.exec.ForkExecutor` with the inference as
+  its fork-inherited context (never pickled).  Selection results are
+  identical for every ``n_jobs`` because block shapes are fixed and the
+  final argmax scan always runs serially over all gains in canonical
+  candidate order.  Workers return their inference-counter growth with
+  each block's gains (folded into :class:`ScoringStats`), and the
+  executor brings their obs counters (``kernel.sparse.matvecs``, ...)
+  home, so pooled totals cover the work the workers did.
 
 Instrumentation counters (chain evolutions, prefix-cache hits/misses,
 scored sequences, wall time per stage) are collected in
@@ -32,11 +36,9 @@ scored sequences, wall time per stage) are collected in
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from multiprocessing.context import BaseContext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +47,7 @@ from repro.core.compact_model import CompactModel
 from repro.core.gain import binary_entropy
 from repro.core.inference import ReconInference
 from repro.deprecation import keyword_only
+from repro.exec import ForkExecutor, fork_map
 from repro.obs import Instrumentation, get_instrumentation
 
 #: Fixed scoring block size.  Keeping block shapes constant regardless
@@ -202,23 +205,17 @@ def _score_block_impl(
 
 
 # ----------------------------------------------------------------------
-# Multiprocessing plumbing (fork-based; inference inherited, not pickled)
+# Executor work function (the inference is the fork-inherited context)
 # ----------------------------------------------------------------------
 #: One scoring work item: (shared probe prefix, block of final probes).
 WorkItem = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-_WORKER_INFERENCE: Optional[ReconInference] = None
 
-
-def _init_scoring_worker(inference: ReconInference) -> None:
-    global _WORKER_INFERENCE
-    _WORKER_INFERENCE = inference
-
-
-def _scoring_work(item: WorkItem) -> Tuple[np.ndarray, Dict[str, int]]:
+def _score_block(
+    inference: ReconInference, item: WorkItem
+) -> Tuple[np.ndarray, Dict[str, int]]:
+    """One block's gains plus the inference-counter growth it caused."""
     prefix, flows = item
-    inference = _WORKER_INFERENCE
-    assert inference is not None, "worker used before initialisation"
     before = dict(inference.counters)
     gains = _score_block_impl(inference, prefix, flows)
     delta = {
@@ -226,16 +223,6 @@ def _scoring_work(item: WorkItem) -> Tuple[np.ndarray, Dict[str, int]]:
         for key, value in inference.counters.items()
     }
     return gains, delta
-
-
-def _fork_context() -> Optional[BaseContext]:
-    """The fork multiprocessing context, or ``None`` if unavailable."""
-    try:
-        if "fork" in multiprocessing.get_all_start_methods():
-            return multiprocessing.get_context("fork")
-    except Exception:  # pragma: no cover - platform-specific
-        pass
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -333,47 +320,29 @@ class ProbeScoringEngine:
         return items
 
     def _map(self, items: Sequence[WorkItem]) -> List[np.ndarray]:
-        """Evaluate scoring blocks, serially or across the fork pool.
+        """Evaluate scoring blocks through the fork executor.
 
-        If the pool fails mid-batch -- a worker dies, the fork fails,
-        or an exception escapes the map -- the whole batch is
-        re-scored serially in the parent (the serial path shares the
-        parent's prefix cache, so nothing is lost but time).  The
-        fallback is counted in ``stats.pool_fallbacks`` and the
-        ``engine.pool.fallbacks`` metric.
+        A broken pool re-scores the whole batch in the parent (scoring
+        is pure, and the parent shares its own prefix cache), counted
+        in ``stats.pool_fallbacks`` and ``engine.pool.fallbacks``.
         """
-        jobs = min(self.n_jobs, len(items))
-        context = _fork_context() if jobs > 1 else None
-        if context is None:
-            return self._map_serial(items)
-        try:
-            with context.Pool(
-                jobs,
-                initializer=_init_scoring_worker,
-                initargs=(self.inference,),
-            ) as pool:
-                results = pool.map(_scoring_work, items)
-        except Exception:
-            # Worker death surfaces as BrokenProcessPool / BrokenPipeError
-            # / the worker's own exception, depending on how it died.
-            # Scoring is pure, so re-running every block serially yields
-            # the identical gains the pool would have returned.
-            self.stats.pool_fallbacks += 1
-            self._obs.metrics.counter("engine.pool.fallbacks").inc()
-            return self._map_serial(items)
-        for _, delta in results:
-            for key, value in delta.items():
-                self._worker_deltas[key] = (
-                    self._worker_deltas.get(key, 0) + value
-                )
+        with ForkExecutor(
+            _score_block,
+            self.inference,
+            jobs=min(self.n_jobs, len(items)),
+            fallback_counter="engine.pool.fallbacks",
+        ) as executor:
+            results = executor.map(items)
+            if executor.pooled:
+                # Workers evolved their own copies of the inference; the
+                # parent's counters never saw that work.
+                for _, delta in results:
+                    for key, value in delta.items():
+                        self._worker_deltas[key] = (
+                            self._worker_deltas.get(key, 0) + value
+                        )
+        self.stats.pool_fallbacks += executor.fallbacks
         return [gains for gains, _ in results]
-
-    def _map_serial(self, items: Sequence[WorkItem]) -> List[np.ndarray]:
-        """Score every block in the parent process."""
-        return [
-            _score_block_impl(self.inference, prefix, flows)
-            for prefix, flows in items
-        ]
 
     def _refresh_counters(self) -> None:
         """Fold inference counters + worker deltas into the stats."""
@@ -557,38 +526,15 @@ def _weights_to_vector(
     return vector
 
 
-#: Shared adaptive-worker state: (model, w_full, w_absent, mass, prior).
+#: Adaptive scoring context: (model, w_full, w_absent, mass, prior).
 _AdaptiveState = Tuple[CompactModel, np.ndarray, np.ndarray, float, float]
-
-_ADAPTIVE_STATE: Optional[_AdaptiveState] = None
-
-
-def _init_adaptive_worker(
-    model: CompactModel,
-    w_full: np.ndarray,
-    w_absent: np.ndarray,
-    mass: float,
-    prior: float,
-) -> None:
-    global _ADAPTIVE_STATE
-    _ADAPTIVE_STATE = (model, w_full, w_absent, mass, prior)
-
-
-def _adaptive_work(flows: Tuple[int, ...]) -> np.ndarray:
-    assert _ADAPTIVE_STATE is not None, "worker used before initialisation"
-    model, w_full, w_absent, mass, prior = _ADAPTIVE_STATE
-    return _conditional_block(model, w_full, w_absent, mass, prior, flows)
 
 
 def _conditional_block(
-    model: CompactModel,
-    w_full: np.ndarray,
-    w_absent: np.ndarray,
-    mass: float,
-    prior: float,
-    flows: Sequence[int],
+    state: _AdaptiveState, flows: Sequence[int]
 ) -> np.ndarray:
     """Conditional gains of one candidate block (2-outcome tables)."""
+    model, w_full, w_absent, mass, prior = state
     coverage = model.coverage_matrix(flows)  # (c, n_states)
     hit_full = coverage @ w_full
     hit_absent = coverage @ w_absent
@@ -626,28 +572,12 @@ def batched_conditional_gains(
         flows[start:start + SCORE_BLOCK]
         for start in range(0, len(flows), SCORE_BLOCK)
     ]
-    context = _fork_context() if min(n_jobs, len(blocks)) > 1 else None
-    if context is None:
-        return np.concatenate(
-            [
-                _conditional_block(model, w_full, w_absent, mass, prior, block)
-                for block in blocks
-            ]
+    return np.concatenate(
+        fork_map(
+            _conditional_block,
+            (model, w_full, w_absent, mass, prior),
+            blocks,
+            jobs=n_jobs,
+            fallback_counter="engine.pool.fallbacks",
         )
-    try:
-        with context.Pool(
-            min(n_jobs, len(blocks)),
-            initializer=_init_adaptive_worker,
-            initargs=(model, w_full, w_absent, mass, prior),
-        ) as pool:
-            return np.concatenate(pool.map(_adaptive_work, blocks))
-    except Exception:
-        # Same contract as ProbeScoringEngine._map: scoring is pure, so
-        # a broken pool degrades to the identical serial computation.
-        get_instrumentation().metrics.counter("engine.pool.fallbacks").inc()
-        return np.concatenate(
-            [
-                _conditional_block(model, w_full, w_absent, mass, prior, block)
-                for block in blocks
-            ]
-        )
+    )

@@ -8,8 +8,9 @@ detector-viability screen, and the trial loop producing accuracies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,13 +26,13 @@ from repro.core.engine import ScoringStats
 from repro.core.inference import ReconInference
 from repro.core.recency import make_estimator
 from repro.deprecation import keyword_only
+from repro.exec import ForkExecutor
 from repro.experiments.params import ExperimentParams
 from repro.faults import FaultPlan
 from repro.experiments.parallel import (
     ExecutionStats,
     plan_trials,
     run_planned_trials,
-    screen_accepted_configs,
 )
 from repro.experiments.trials import DefenseFactory, TrialResult, run_trial
 from repro.flows.config import ConfigGenerator, NetworkConfiguration
@@ -303,6 +304,77 @@ class ConfigHarness:
         )
 
 
+#: Candidate configurations sampled per speculative screening batch,
+#: as a multiple of the worker count.
+SCREEN_BATCH_PER_WORKER = 2
+
+
+def screening_verdicts(
+    params: ExperimentParams,
+    config: NetworkConfiguration,
+    require_optimal_differs: bool = False,
+    rng: Optional[np.random.Generator] = None,
+) -> Tuple[Optional[ConfigHarness], CompactModel]:
+    """Screen one candidate: ``(harness, model)``.
+
+    ``harness`` is the harness that screened the candidate when it
+    passes, else ``None``; ``model`` is the compact model the screen
+    built either way.  Where the certified float32 fast screen applies
+    (repro.experiments.fastscreen) and proves the candidate rejected,
+    no harness is built.  Otherwise the exact harness -- reusing the
+    fast screen's model -- applies the paper screen (``params.screen``)
+    and, if asked, the optimal-probe-differs restriction.
+
+    ``rng`` is the harness generator handed to an accepted harness.  A
+    pool worker passes none: it builds the harness with serial probe
+    selection (a daemonic worker cannot fork children of its own; the
+    engine's selection is bit-identical for every ``n_jobs``) and a
+    throwaway seeded generator -- screening never draws from the
+    harness generator, and the parent rebuilds accepted configurations.
+    """
+    from repro.experiments import fastscreen
+
+    model = None
+    if fastscreen.supports(params):
+        outcome = fastscreen.screen_candidate(
+            params, config, require_optimal_differs=require_optimal_differs
+        )
+        if outcome.certified_reject:
+            return None, outcome.model
+        model = outcome.model
+    if rng is None:
+        params = replace(params, selection_n_jobs=1)
+        rng = np.random.default_rng(0)
+    harness = ConfigHarness(config, params, rng=rng, model=model)
+    if (params.screen and not harness.is_screened_in()) or (
+        require_optimal_differs and not harness.optimal_differs_from_target()
+    ):
+        return None, harness.model
+    return harness, harness.model
+
+
+@dataclass(frozen=True)
+class _ScreenContext:
+    """What screening a candidate needs besides the candidate itself."""
+
+    params: ExperimentParams
+    require_optimal_differs: bool
+    #: The harness generator when screening runs in the parent; ``None``
+    #: in a pool, where only the verdict travels back.
+    rng: Optional[np.random.Generator]
+
+
+def _screen_work(
+    context: _ScreenContext, config: NetworkConfiguration
+) -> Union[bool, Tuple[Optional[ConfigHarness], CompactModel]]:
+    screened = screening_verdicts(
+        context.params, config, context.require_optimal_differs, context.rng
+    )
+    if context.rng is None:
+        return screened[0] is not None
+    return screened
+
+
 @keyword_only
 def sample_screened_harnesses(
     params: ExperimentParams,
@@ -322,72 +394,84 @@ def sample_screened_harnesses(
     model-optimal probe to differ from the target (Figure 6's case
     split).  Raises ``RuntimeError`` if the acceptance rate is too low.
 
-    With ``trial_jobs`` (or ``params.trial_jobs``) > 1 the candidate
-    screening fans out across a fork pool; the accepted configurations,
-    the generator's post-call state, and the exhaustion error are all
-    identical to the serial loop (repro.experiments.parallel).
+    This is the one screening loop.  With ``trial_jobs`` (or
+    ``params.trial_jobs``) at 1 it samples a candidate, screens it in
+    the parent and keeps the harness that screened it.  Above 1 it
+    samples speculative batches, screens them across the fork executor,
+    accepts in attempt order, rebuilds accepted configurations in the
+    parent, and rewinds the generator to just after the last consumed
+    sample.  Accepted configurations, the generator's post-call state
+    and the exhaustion error are identical for every ``trial_jobs``.
     """
     generator = generator or ConfigGenerator(params.config, seed=params.seed)
     if trial_jobs is None:
         trial_jobs = params.trial_jobs
-    if trial_jobs > 1:
-        configs = screen_accepted_configs(
-            params,
-            n_configs,
-            require_optimal_differs=require_optimal_differs,
-            max_attempts_factor=max_attempts_factor,
-            generator=generator,
-            n_jobs=trial_jobs,
-            execution=execution,
-        )
-        harnesses = [
-            ConfigHarness(config, params, rng=generator.rng)
-            for config in configs
-        ]
-        if execution is not None:
-            execution.harness_builds += len(harnesses)
-        return harnesses
-    from repro.experiments import fastscreen
-
-    harnesses: List[ConfigHarness] = []
-    attempts = 0
-    max_attempts = max(1, n_configs) * max_attempts_factor
+    pooled = trial_jobs > 1
+    batch_size = max(SCREEN_BATCH_PER_WORKER * trial_jobs, 4) if pooled else 1
+    context = _ScreenContext(
+        params, require_optimal_differs, None if pooled else generator.rng
+    )
     obs = get_instrumentation()
     sampled = obs.metrics.counter("experiment.configs_sampled")
     screened_out = obs.metrics.counter("experiment.configs_screened_out")
-    fast = fastscreen.supports(params)
-    while len(harnesses) < n_configs:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError(
-                f"only {len(harnesses)}/{n_configs} configurations accepted "
-                f"after {attempts} attempts; relax the screens or the "
-                "absence range"
-            )
-        if fast:
-            # Certified float32 pre-screen: rejects only when the
-            # rejection is provable within calibrated error bounds, so
-            # accepted harnesses (and the generator's RNG stream) are
-            # bit-identical to the reference loop below.
-            config = generator.sample()
-            sampled.inc()
-            outcome = fastscreen.screen_candidate(
-                params, config, require_optimal_differs=require_optimal_differs
-            )
-            if outcome.certified_reject:
-                screened_out.inc()
-                continue
-            harness = ConfigHarness(
-                config, params, rng=generator.rng, model=outcome.model
-            )
-        else:
-            harness = ConfigHarness.sample(params, generator=generator)
-            sampled.inc()
-        if params.screen and not harness.is_screened_in():
-            screened_out.inc()
-            continue
-        if require_optimal_differs and not harness.optimal_differs_from_target():
-            screened_out.inc()
-            continue
-        harnesses.append(harness)
-    return harnesses
+    max_attempts = max(1, n_configs) * max_attempts_factor
+    harnesses: List[ConfigHarness] = []
+    attempts = 0
+    started = time.perf_counter()
+    executor = ForkExecutor(
+        _screen_work,
+        context,
+        jobs=trial_jobs,
+        fallback_counter="experiment.pool.fallbacks",
+    )
+    try:
+        while len(harnesses) < n_configs:
+            remaining = max_attempts - attempts
+            if remaining <= 0:
+                raise RuntimeError(
+                    f"only {len(harnesses)}/{n_configs} configurations "
+                    f"accepted after {max_attempts + 1} attempts; relax "
+                    "the screens or the absence range"
+                )
+            batch: List[NetworkConfiguration] = []
+            states: List[dict] = []
+            for _ in range(min(batch_size, remaining)):
+                batch.append(generator.sample())
+                states.append(generator.rng.bit_generator.state)
+            if execution is not None:
+                execution.screen_batches += 1
+            # ``screened`` keeps the previous batch's models referenced
+            # while the next batch is screened: each model build in the
+            # parent then reuses heap its predecessor already faulted in,
+            # where freeing it first returns the pages to the system and
+            # every candidate pays to fault them in again.
+            screened = executor.map(batch)
+            for position, verdict in enumerate(screened):
+                attempts += 1
+                sampled.inc()
+                if isinstance(verdict, tuple):
+                    harness = verdict[0]
+                elif verdict:
+                    harness = ConfigHarness(
+                        batch[position], params, rng=generator.rng
+                    )
+                    if execution is not None:
+                        execution.harness_builds += 1
+                else:
+                    harness = None
+                if harness is None:
+                    screened_out.inc()
+                    continue
+                harnesses.append(harness)
+                if len(harnesses) == n_configs:
+                    # Rewind past the speculative tail: the generator
+                    # resumes exactly where one-at-a-time sampling stops.
+                    generator.rng.bit_generator.state = states[position]
+                    break
+        return harnesses
+    finally:
+        executor.close()
+        if execution is not None:
+            execution.screen_attempts += attempts
+            execution.pool_fallbacks += executor.fallbacks
+            execution.add_time("screen", time.perf_counter() - started)

@@ -1,9 +1,9 @@
 """Deterministic process-parallel experiment execution.
 
 The figure pipelines aggregate hundreds of independent Monte Carlo
-trials over dozens of sampled configurations; this module fans both
-levels out across a fork pool while keeping every number **bit-identical
-to the serial loops**:
+trials over dozens of sampled configurations; both levels fan out
+through :class:`repro.exec.ForkExecutor` while keeping every number
+**bit-identical to the serial run**:
 
 * **trial-level** (:func:`plan_trials` + :func:`run_planned_trials`) --
   the per-trial randomness is pre-drawn in the parent from the harness
@@ -11,23 +11,17 @@ to the serial loops**:
   verdict per probeless attacker in lineup order), so the generator
   stream is untouched by the fan-out.  Workers replay the pre-drawn
   verdicts through :class:`_ScriptedAttacker` stand-ins and results are
-  merged back in trial order.
-* **config-level** (:func:`screen_accepted_configs`) -- the
-  rejection-sampling screening loop samples candidate configurations in
-  speculative batches, screens them across the pool, accepts in attempt
-  order, and rewinds the generator's bit-generator state to just after
-  the last *consumed* sample -- callers observe exactly the serial
-  acceptance sequence and leave the generator exactly where the serial
-  loop would have left it.
+  merged back in trial order.  The recon service ships whole sessions
+  through the same trial payload (:mod:`repro.service.pool`).
+* **config-level** -- the one screening loop,
+  :func:`repro.experiments.harness.sample_screened_harnesses`, screens
+  speculative candidate batches through the executor and rewinds the
+  generator past the unconsumed tail.
 
-The plumbing reuses the scoring engine's proven patterns
-(:mod:`repro.core.engine`): fork-inherited worker state (never pickled),
-obs counters collected as per-worker deltas and re-emitted by the
-parent (sums commute, so totals match serial), and a serial fallback on
-pool death -- trials and screens are pure functions of their pre-drawn
-inputs, so re-running them in the parent reproduces the identical
-results.  Fallbacks are counted in :class:`ExecutionStats` and the
-``experiment.pool.fallbacks`` metric.
+Worker counters, fork-inherited context and the fallback on pool death
+are the executor's: a broken pool re-runs its batch in the parent
+(trials and screens are pure functions of their pre-drawn inputs) and
+is counted in :class:`ExecutionStats` and ``experiment.pool.fallbacks``.
 
 See EXPERIMENTS.md ("Parallel execution") for the determinism contract
 and the seed-stream layout.
@@ -36,28 +30,22 @@ and the seed-stream layout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.attacker import Attacker
-from repro.core.engine import _fork_context
-from repro.experiments.params import ExperimentParams
+from repro.exec import ForkExecutor
 from repro.experiments.trials import DefenseFactory, TrialResult, run_trial
 from repro.faults import FaultPlan
-from repro.flows.config import ConfigGenerator, NetworkConfiguration
-from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
+from repro.flows.config import NetworkConfiguration
 from repro.simulator.timing import LatencyModel
 
 #: Trial chunks handed out per worker: small enough to balance load,
 #: large enough to amortise task pickling.  Chunking never affects
 #: results -- trials are merged back in trial order regardless.
 TRIAL_CHUNKS_PER_WORKER = 4
-
-#: Candidate configurations sampled per speculative screening batch,
-#: as a multiple of the worker count.
-SCREEN_BATCH_PER_WORKER = 2
 
 
 # ----------------------------------------------------------------------
@@ -81,9 +69,10 @@ class ExecutionStats:
     trial_chunks: int = 0
     #: Screening attempts consumed (accepted + rejected samples).
     screen_attempts: int = 0
-    #: Speculative screening batches dispatched.
+    #: Screening batches sampled (one candidate each at ``n_jobs=1``).
     screen_batches: int = 0
-    #: Harnesses built in the parent from accepted configurations.
+    #: Harnesses rebuilt in the parent from configurations a pool
+    #: accepted (at ``n_jobs=1`` the screening harness is kept instead).
     harness_builds: int = 0
     #: Pool dispatches re-run serially after a fork-pool failure.
     pool_fallbacks: int = 0
@@ -108,18 +97,6 @@ class ExecutionStats:
         for stage in sorted(self.wall_times):
             rows.append([f"{stage} time (s)", f"{self.wall_times[stage]:.6f}"])
         return rows
-
-
-def counter_deltas(obs: Instrumentation) -> Dict[str, int]:
-    """Non-zero counter totals of a worker-local backend.
-
-    Workers install a fresh :class:`~repro.obs.Instrumentation`, so its
-    totals *are* the deltas their chunk contributed; the parent re-emits
-    them onto its own backend.  Counter sums commute, so the merged
-    totals equal what the serial loop would have counted.
-    """
-    counters = obs.metrics.to_document()["counters"]
-    return {name: value for name, value in counters.items() if value}  # type: ignore[union-attr]
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +171,6 @@ class _TrialContext:
     defense_factory: Optional[DefenseFactory]
     fault_plan: Optional[FaultPlan]
     probe_retries: int
-    collect_counters: bool
 
 
 def _scripted_lineup(
@@ -209,39 +185,23 @@ def _scripted_lineup(
     )
 
 
-def _run_planned_trial(context: _TrialContext, plan: TrialPlan) -> TrialResult:
-    """One trial from its pre-drawn plan (worker and fallback path)."""
-    return run_trial(
-        context.config,
-        _scripted_lineup(context.lineup, plan),
-        plan.seed,
-        mode=context.mode,
-        latency=context.latency,
-        defense_factory=context.defense_factory,
-        fault_plan=context.fault_plan,
-        probe_retries=context.probe_retries,
-    )
-
-
-_TRIAL_CONTEXT: Optional[_TrialContext] = None
-
-
-def _init_trial_worker(context: _TrialContext) -> None:
-    global _TRIAL_CONTEXT
-    _TRIAL_CONTEXT = context
-
-
-def _trial_chunk_work(
-    chunk: Tuple[TrialPlan, ...],
-) -> Tuple[List[TrialResult], Dict[str, int]]:
-    context = _TRIAL_CONTEXT
-    assert context is not None, "worker used before initialisation"
-    if not context.collect_counters:
-        return [_run_planned_trial(context, plan) for plan in chunk], {}
-    worker_obs = Instrumentation()
-    with use_instrumentation(worker_obs):
-        results = [_run_planned_trial(context, plan) for plan in chunk]
-    return results, counter_deltas(worker_obs)
+def _run_trial_chunk(
+    context: _TrialContext, plans: Sequence[TrialPlan]
+) -> List[TrialResult]:
+    """Trials from their pre-drawn plans (the executor's work function)."""
+    return [
+        run_trial(
+            context.config,
+            _scripted_lineup(context.lineup, plan),
+            plan.seed,
+            mode=context.mode,
+            latency=context.latency,
+            defense_factory=context.defense_factory,
+            fault_plan=context.fault_plan,
+            probe_retries=context.probe_retries,
+        )
+        for plan in plans
+    ]
 
 
 def _trial_chunks(
@@ -267,18 +227,15 @@ def run_planned_trials(
     probe_retries: int = 0,
     execution: Optional[ExecutionStats] = None,
 ) -> List[TrialResult]:
-    """Run pre-planned trials across a fork pool, in trial order.
+    """Run pre-planned trials across the fork executor, in trial order.
 
     Every trial is a pure function of its :class:`TrialPlan` (the
     scripted verdicts remove the only in-trial draw from the shared
     generator), so the returned ``TrialResult`` list is bit-identical
-    to running the serial loop over the same plans.  If the pool dies
-    -- fork failure, worker crash, an exception escaping the map -- the
-    whole batch is re-run serially in the parent and counted in
-    ``execution.pool_fallbacks`` / ``experiment.pool.fallbacks``.
+    to running the serial loop over the same plans -- also when a dead
+    pool makes the executor re-run the batch in the parent (counted in
+    ``execution.pool_fallbacks`` / ``experiment.pool.fallbacks``).
     """
-    obs = get_instrumentation()
-    plans = list(plans)
     context = _TrialContext(
         config=config,
         lineup=tuple(lineup),
@@ -287,242 +244,19 @@ def run_planned_trials(
         defense_factory=defense_factory,
         fault_plan=fault_plan,
         probe_retries=int(probe_retries),
-        collect_counters=obs.enabled,
     )
-    chunks = _trial_chunks(plans, max(1, int(n_jobs)))
+    chunks = _trial_chunks(list(plans), max(1, int(n_jobs)))
+    started = time.perf_counter()
+    with ForkExecutor(
+        _run_trial_chunk,
+        context,
+        jobs=min(int(n_jobs), len(chunks)),
+        fallback_counter="experiment.pool.fallbacks",
+    ) as executor:
+        results = [trial for chunk in executor.map(chunks) for trial in chunk]
     if execution is not None:
-        execution.trials += len(plans)
+        execution.trials += len(results)
         execution.trial_chunks += len(chunks)
-    started = time.perf_counter()
-    try:
-        jobs = min(int(n_jobs), len(chunks))
-        fork = _fork_context() if jobs > 1 else None
-        if fork is None:
-            return [_run_planned_trial(context, plan) for plan in plans]
-        try:
-            with fork.Pool(
-                jobs, initializer=_init_trial_worker, initargs=(context,)
-            ) as pool:
-                outputs = pool.map(_trial_chunk_work, chunks)
-        except Exception:
-            # Trials are pure given their plans; the serial re-run
-            # below reproduces exactly what the pool would have
-            # returned (and its counters land directly on the parent
-            # backend, so totals still match serial).
-            if execution is not None:
-                execution.pool_fallbacks += 1
-            obs.metrics.counter("experiment.pool.fallbacks").inc()
-            return [_run_planned_trial(context, plan) for plan in plans]
-        results: List[TrialResult] = []
-        merged: Dict[str, int] = {}
-        for chunk_results, deltas in outputs:
-            results.extend(chunk_results)
-            for name, value in deltas.items():
-                merged[name] = merged.get(name, 0) + value
-        if obs.enabled:
-            for name in sorted(merged):
-                obs.metrics.counter(name).inc(merged[name])
-        return results
-    finally:
-        if execution is not None:
-            execution.add_time("trials", time.perf_counter() - started)
-
-
-# ----------------------------------------------------------------------
-# Config-level fan-out (screened rejection sampling)
-# ----------------------------------------------------------------------
-@dataclass
-class _ScreenContext:
-    """Fork-inherited worker state for config-level screening."""
-
-    params: ExperimentParams
-    require_optimal_differs: bool
-    collect_counters: bool
-
-
-def screening_verdicts(
-    params: ExperimentParams,
-    config: NetworkConfiguration,
-    require_optimal_differs: bool = False,
-) -> Tuple[bool, bool]:
-    """``(screened_in, optimal_differs)`` for one candidate configuration.
-
-    Builds the harness with serial probe selection (a daemonic pool
-    worker cannot fork children of its own; the engine's selection is
-    bit-identical for every ``n_jobs``) and a throwaway seeded
-    generator -- screening never draws from the harness generator.
-
-    When the certified float32 fast screen applies
-    (repro.experiments.fastscreen) and proves the candidate rejected,
-    the exact harness is skipped and the verdict reports the rejection
-    through whichever of the two checks is active (``(False, True)``
-    under ``params.screen``, else ``(True, False)``).  The acceptance
-    loop takes exactly one rejection branch either way, so accepted
-    configurations, counters, and the generator stream are identical;
-    only the unevaluated tuple component is conventional.
-    """
-    from repro.experiments import fastscreen
-    from repro.experiments.harness import ConfigHarness
-
-    model = None
-    if fastscreen.supports(params):
-        outcome = fastscreen.screen_candidate(
-            params, config, require_optimal_differs=require_optimal_differs
-        )
-        if outcome.certified_reject:
-            return (False, True) if params.screen else (True, False)
-        model = outcome.model
-    harness = ConfigHarness(
-        config,
-        replace(params, selection_n_jobs=1),
-        rng=np.random.default_rng(0),
-        model=model,
-    )
-    return harness.is_screened_in(), harness.optimal_differs_from_target()
-
-
-_SCREEN_CONTEXT: Optional[_ScreenContext] = None
-
-
-def _init_screen_worker(context: _ScreenContext) -> None:
-    global _SCREEN_CONTEXT
-    _SCREEN_CONTEXT = context
-
-
-def _screen_work(
-    config: NetworkConfiguration,
-) -> Tuple[bool, bool, Dict[str, int]]:
-    context = _SCREEN_CONTEXT
-    assert context is not None, "worker used before initialisation"
-    if not context.collect_counters:
-        screened, differs = screening_verdicts(
-            context.params, config, context.require_optimal_differs
-        )
-        return screened, differs, {}
-    worker_obs = Instrumentation()
-    with use_instrumentation(worker_obs):
-        screened, differs = screening_verdicts(
-            context.params, config, context.require_optimal_differs
-        )
-    return screened, differs, counter_deltas(worker_obs)
-
-
-def screen_accepted_configs(
-    params: ExperimentParams,
-    n_configs: int,
-    *,
-    require_optimal_differs: bool,
-    max_attempts_factor: int,
-    generator: ConfigGenerator,
-    n_jobs: int,
-    execution: Optional[ExecutionStats] = None,
-) -> List[NetworkConfiguration]:
-    """The screening acceptance loop, with the screens fanned out.
-
-    Candidates are sampled from ``generator`` in the parent (the only
-    place its stream is consumed) in speculative batches; each sample's
-    post-draw bit-generator state is recorded so that once the
-    acceptance quota is met mid-batch, the generator is rewound to just
-    after the last consumed sample.  Acceptance runs in attempt order,
-    so the returned configurations -- and the generator state handed
-    back to the caller -- are exactly the serial loop's.  Exhaustion
-    raises the same ``RuntimeError`` the serial loop raises.
-
-    A dead pool degrades to screening in the parent (counted once in
-    ``pool_fallbacks``); already-sampled candidates keep their place in
-    the attempt order, so the fallback changes nothing but wall clock.
-    """
-    obs = get_instrumentation()
-    max_attempts = max(1, n_configs) * max_attempts_factor
-    sampled = obs.metrics.counter("experiment.configs_sampled")
-    screened_out = obs.metrics.counter("experiment.configs_screened_out")
-    accepted: List[NetworkConfiguration] = []
-    attempts = 0
-    batch_size = max(SCREEN_BATCH_PER_WORKER * int(n_jobs), 4)
-    started = time.perf_counter()
-    pool = None
-    fork = _fork_context()
-    try:
-        if fork is not None:
-            context = _ScreenContext(
-                params=params,
-                require_optimal_differs=require_optimal_differs,
-                collect_counters=obs.enabled,
-            )
-            try:
-                pool = fork.Pool(
-                    int(n_jobs),
-                    initializer=_init_screen_worker,
-                    initargs=(context,),
-                )
-            except Exception:
-                pool = None
-                if execution is not None:
-                    execution.pool_fallbacks += 1
-                obs.metrics.counter("experiment.pool.fallbacks").inc()
-        while len(accepted) < n_configs:
-            remaining = max_attempts - attempts
-            if remaining <= 0:
-                # Same message the serial loop raises on its
-                # (max_attempts + 1)-th attempt.
-                raise RuntimeError(
-                    f"only {len(accepted)}/{n_configs} configurations "
-                    f"accepted after {max_attempts + 1} attempts; relax "
-                    "the screens or the absence range"
-                )
-            batch: List[NetworkConfiguration] = []
-            states: List[dict] = []
-            for _ in range(min(batch_size, remaining)):
-                batch.append(generator.sample())
-                states.append(generator.rng.bit_generator.state)
-            if execution is not None:
-                execution.screen_batches += 1
-            verdicts: Optional[List[Tuple[bool, bool, Dict[str, int]]]] = None
-            if pool is not None:
-                try:
-                    verdicts = pool.map(_screen_work, batch)
-                except Exception:
-                    pool.terminate()
-                    pool = None
-                    if execution is not None:
-                        execution.pool_fallbacks += 1
-                    obs.metrics.counter("experiment.pool.fallbacks").inc()
-            if verdicts is None:
-                # Parent-side screening: counters land directly on the
-                # parent backend, exactly like the serial loop.
-                verdicts = [
-                    screening_verdicts(params, config, require_optimal_differs)
-                    + ({},)
-                    for config in batch
-                ]
-            else:
-                merged: Dict[str, int] = {}
-                for _, _, deltas in verdicts:
-                    for name, value in deltas.items():
-                        merged[name] = merged.get(name, 0) + value
-                if obs.enabled:
-                    for name in sorted(merged):
-                        obs.metrics.counter(name).inc(merged[name])
-            for position, (screened, differs, _) in enumerate(verdicts):
-                attempts += 1
-                sampled.inc()
-                if params.screen and not screened:
-                    screened_out.inc()
-                    continue
-                if require_optimal_differs and not differs:
-                    screened_out.inc()
-                    continue
-                accepted.append(batch[position])
-                if len(accepted) == n_configs:
-                    # Rewind past the speculative tail: the generator
-                    # resumes exactly where the serial loop stopped.
-                    generator.rng.bit_generator.state = states[position]
-                    return accepted
-        return accepted
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        if execution is not None:
-            execution.screen_attempts += attempts
-            execution.add_time("screen", time.perf_counter() - started)
+        execution.pool_fallbacks += executor.fallbacks
+        execution.add_time("trials", time.perf_counter() - started)
+    return results

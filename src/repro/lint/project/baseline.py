@@ -14,8 +14,8 @@ reviewed like code:
       "entries": [
         {
           "rule": "SEED103",
-          "path": "src/repro/experiments/parallel.py",
-          "symbol": "repro.experiments.parallel.screening_verdicts",
+          "path": "src/repro/experiments/harness.py",
+          "symbol": "repro.experiments.harness.screening_verdicts",
           "justification": "why this one is fine"
         }
       ]

@@ -5,14 +5,18 @@ module where the dispatch happens.  Real captures hide one hop away: a
 worker imported from another module, or a clean-looking worker that
 calls a helper which calls ``get_instrumentation()`` three frames
 down.  PAR101 walks the whole call-graph closure of every dispatched
-worker (and ``Pool(initializer=...)``) and flags, anywhere in that
-closure:
+worker -- the ``fn`` of ``ForkExecutor(fn, context, ...)`` /
+``fork_map(fn, context, items, ...)``, a raw ``pool.map(worker, ...)``
+and ``Pool(initializer=...)`` (see PAR001 for how dispatch sites are
+recognised) -- and flags, anywhere in that closure:
 
 * calls to ``get_instrumentation()`` -- under fork that resolves to the
   *parent's* backend, so recorded events vanish with the worker --
-  unless the closure installs a fresh backend via
-  ``use_instrumentation(...)`` first (the sanctioned worker pattern in
-  :mod:`repro.experiments.parallel`);
+  unless a fresh backend is installed first: by the closure itself via
+  ``use_instrumentation(...)``, or, for everything the executor's
+  ``fn`` calls, by :mod:`repro.exec`, which runs each item under a
+  fresh backend and ships its counters home.  ``fn`` reading the
+  backend itself is still flagged (PAR001's check, across modules);
 * reads of module globals bound to ``Instrumentation``/``Generator``
   state, including globals imported from *other* modules, which PAR001
   cannot see.
@@ -78,14 +82,14 @@ def check_worker_closures(graph: ProjectGraph) -> List[ProjectFinding]:
                 member = graph.functions.get(member_qname)
                 if member is None:
                     continue
-                direct_worker = (
-                    member_qname == dispatch.worker_qname
-                    and member.module == info.module
-                )
-                if direct_worker:
+                is_worker = member_qname == dispatch.worker_qname
+                if is_worker and member.module == info.module:
                     continue  # PAR001 territory
+                fresh = installs_fresh or (
+                    dispatch.via_executor and not is_worker
+                )
                 for finding in _check_member(
-                    graph, member, dispatch.caller, installs_fresh
+                    graph, member, dispatch.caller, fresh
                 ):
                     key = (finding.path, finding.line, finding.col)
                     if key not in seen:

@@ -34,7 +34,7 @@ from repro.lint.rules.mutation import (
     CACHE_ATTRIBUTES,
     INPLACE_METHODS,
 )
-from repro.lint.rules.parallel import POOL_DISPATCH_METHODS
+from repro.lint.rules.parallel import dispatched_worker
 
 #: Attribute names conventionally bound to ``numpy.random.Generator``s.
 GENERATOR_ATTRS: FrozenSet[str] = frozenset(
@@ -150,7 +150,7 @@ class TaintedArg:
 
 @dataclass
 class PoolDispatch:
-    """A ``pool.map(worker, ...)``-style dispatch site."""
+    """A dispatch site: ``ForkExecutor(fn, ...)`` or ``pool.map(worker, ...)``."""
 
     node: ast.Call
     caller: str
@@ -160,6 +160,9 @@ class PoolDispatch:
     worker_qname: Optional[str]
     #: Resolved ``initializer=`` qualified name, when present.
     initializer_qname: Optional[str] = None
+    #: Dispatched through :mod:`repro.exec`, which runs each item under
+    #: a fresh instrumentation backend.
+    via_executor: bool = False
 
 
 @dataclass
@@ -924,28 +927,23 @@ class _SummaryVisitor:
                     self.info.mutations.append(
                         Mutation(node=node, kind="setflags", base=base)
                     )
-            # Pool dispatches.
-            if (
-                func.attr in POOL_DISPATCH_METHODS
-                and _receiver_is_pool(func.value)
-                and node.args
-            ):
-                worker = node.args[0]
-                worker_qname: Optional[str] = None
-                if isinstance(worker, ast.Name):
-                    resolved = self.graph._resolve_symbol_expr(
-                        self.module, worker
-                    )
-                    if resolved is not None:
-                        worker_qname = self.graph._as_callable(resolved)
-                self.info.pool_dispatches.append(
-                    PoolDispatch(
-                        node=node,
-                        caller=self.info.qname,
-                        worker=worker,
-                        worker_qname=worker_qname,
-                    )
+        # Executor and pool dispatches.
+        worker, via_executor = dispatched_worker(node)
+        if worker is not None:
+            worker_qname: Optional[str] = None
+            if isinstance(worker, ast.Name):
+                resolved = self.graph._resolve_symbol_expr(self.module, worker)
+                if resolved is not None:
+                    worker_qname = self.graph._as_callable(resolved)
+            self.info.pool_dispatches.append(
+                PoolDispatch(
+                    node=node,
+                    caller=self.info.qname,
+                    worker=worker,
+                    worker_qname=worker_qname,
+                    via_executor=via_executor,
                 )
+            )
         if endpoint == "Pool":
             initializer = self._keyword_qname(node, "initializer")
             if initializer is not None:
@@ -1021,11 +1019,6 @@ class _SummaryVisitor:
         origin = self.graph.modules.get(origin_module)
         if origin is not None and symbol in origin.tainted_globals:
             self.info.global_reads.append((node, origin_module, symbol))
-
-
-def _receiver_is_pool(node: ast.expr) -> bool:
-    dotted = dotted_name(node)
-    return dotted is not None and "pool" in dotted.lower()
 
 
 def _enables_write(node: ast.Call) -> bool:

@@ -1,7 +1,7 @@
 """PAR001 -- pool workers must not capture parent RNG/instrumentation.
 
-The experiment and engine layers fan work out across fork pools
-(:mod:`repro.core.engine`, :mod:`repro.experiments.parallel`).  Under
+Every fan-out in the repository goes through the fork executor
+(:mod:`repro.exec`).  Under
 the fork start method a worker function silently inherits the parent's
 memory image, so it is easy to write a worker that *appears* to work
 while breaking both determinism contracts:
@@ -15,25 +15,30 @@ while breaking both determinism contracts:
   a start-method change.
 
 Workers must instead receive pre-drawn seeds/plans in their task items
-and return counter *deltas* for the parent to re-emit (the pattern both
-fan-out layers use).  The rule inspects every function dispatched
-through a pool (``pool.map(worker, ...)`` and the other ``Pool``
-dispatch methods) and flags:
+and leave counter collection to the executor, which runs each item
+under a fresh backend and re-emits its counter deltas in the parent.
+The rule inspects every dispatched worker -- the ``fn`` handed to the
+executor (``ForkExecutor(fn, context, ...)`` / ``fork_map(fn, context,
+items, ...)``, recognised by the callee's name, whatever the variable
+holding the executor is called) and the function given to a raw pool's
+dispatch methods (``pool.map(worker, ...)`` and friends) -- and flags:
 
 * ``lambda`` workers and workers defined inside another function --
   closures capture parent state invisibly (and do not survive a switch
   to the spawn start method);
-* module-level workers that call ``get_instrumentation()`` -- under
-  fork that is the parent's backend; create a fresh
-  ``Instrumentation()`` and return its counters as deltas instead;
+* module-level workers that call ``get_instrumentation()`` themselves
+  -- under fork that is the parent's backend (or, under the executor,
+  a per-item backend of which only counters survive); let the library
+  code the worker calls record its own counters instead;
 * module-level workers that read a module global bound to an
   ``Instrumentation``/``np.random.Generator`` (by construction --
   ``X = Instrumentation()`` / ``X = np.random.default_rng(...)`` /
   ``X = get_instrumentation()`` -- or by annotation).
 
-Worker *initializers* (``Pool(initializer=...)``) are the sanctioned
-channel for fork-inherited state and are not flagged.  Intentional
-exceptions need ``# repro: noqa[PAR001]``.
+The executor's ``context`` argument (and a raw pool's
+``initializer=``) is the sanctioned channel for fork-inherited state
+and is not flagged.  Intentional exceptions need
+``# repro: noqa[PAR001]``.
 """
 
 from __future__ import annotations
@@ -74,6 +79,11 @@ _TAINTING_CALLS: FrozenSet[str] = frozenset(
 _TAINTED_ANNOTATIONS: Tuple[str, ...] = ("Instrumentation", "Generator")
 
 
+#: :mod:`repro.exec` entry points; their ``fn`` (first argument) is the
+#: worker and their ``context`` the fork-inherited state.
+EXECUTOR_DISPATCH_CALLS: FrozenSet[str] = frozenset({"ForkExecutor", "fork_map"})
+
+
 def _is_pool_dispatch(node: ast.Call) -> bool:
     """``<pool>.map(worker, ...)`` and friends, by receiver name."""
     func = node.func
@@ -83,6 +93,21 @@ def _is_pool_dispatch(node: ast.Call) -> bool:
         return False
     receiver = dotted_name(func.value)
     return receiver is not None and "pool" in receiver.lower()
+
+
+def dispatched_worker(node: ast.Call) -> Tuple[Optional[ast.expr], bool]:
+    """``(worker expression, via executor)`` for a dispatch call.
+
+    The worker is ``None`` when ``node`` dispatches nothing.
+    """
+    if call_endpoint(node.func) in EXECUTOR_DISPATCH_CALLS:
+        for keyword in node.keywords:
+            if keyword.arg == "fn":
+                return keyword.value, True
+        return (node.args[0] if node.args else None), True
+    if _is_pool_dispatch(node) and node.args:
+        return node.args[0], False
+    return None, False
 
 
 def _annotation_text(node: Optional[ast.expr]) -> str:
@@ -156,11 +181,11 @@ class PoolWorkerCaptureRule(LintRule):
         index = _ModuleIndex(module.tree)
         reported: Set[Tuple[int, int]] = set()
         for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and _is_pool_dispatch(node)):
+            if not isinstance(node, ast.Call):
                 continue
-            if not node.args:
+            worker, _ = dispatched_worker(node)
+            if worker is None:
                 continue
-            worker = node.args[0]
             for finding in self._check_worker(module, worker, index):
                 key = (finding.line, finding.col)
                 if key not in reported:
@@ -228,9 +253,10 @@ class PoolWorkerCaptureRule(LintRule):
                         module,
                         node,
                         f"pool worker '{definition.name}' reads the "
-                        "ambient instrumentation; under fork that is the "
-                        "parent's backend -- create a fresh "
-                        "Instrumentation() and return counter deltas",
+                        "ambient instrumentation itself; in a forked "
+                        "worker that is the parent's copy or a per-item "
+                        "backend whose spans are dropped -- leave counter "
+                        "collection to repro.exec",
                     )
             if (
                 isinstance(node, ast.Name)

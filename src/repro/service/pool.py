@@ -1,51 +1,35 @@
 """Persistent session pool for the reconnaissance service.
 
-Unlike the per-batch pools of :mod:`repro.experiments.parallel` (built
-and torn down inside one ``run_trials`` call), the service keeps one
-fork pool alive across jobs and ships each session to it as a single
-task: the picklable trial context plus its pre-drawn plans.  The trial
-payload is exactly PR 5's -- ``_run_planned_trial`` over a
-``_TrialContext`` -- so a pooled session returns bit-identical
-``TrialResult`` lists to running the same plans serially.
+Unlike the per-call executors of :mod:`repro.experiments.parallel`, the
+service keeps one :class:`repro.exec.ForkExecutor` open across jobs and
+ships each session to it as a single item: the trial context plus its
+pre-drawn plans.  The payload is the trial fan-out's own
+(``_run_trial_chunk`` over a ``_TrialContext``), so a pooled session
+returns bit-identical ``TrialResult`` lists to running the same plans
+serially.
 
-Failure discipline mirrors ``run_planned_trials``: any exception
-escaping the pool (fork failure, worker crash, broken pipe after a
-kill) permanently retires the pool for this service instance, bumps
-``service.pool.fallbacks``, and every session from then on runs
-serially in the parent -- same plans, same results, no retry storms
-against a dead pool.
+Failure discipline is the executor's: the first exception escaping the
+pool (fork failure, worker crash, broken pipe after a kill) retires it
+for this service instance, bumps ``service.pool.fallbacks``, and every
+session from then on runs serially in the parent -- same plans, same
+results, no retry storms against a dead pool.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.experiments.parallel import (
-    TrialPlan,
-    _fork_context,
-    _run_planned_trial,
-    _TrialContext,
-    counter_deltas,
-)
+from repro.exec import ForkExecutor
+from repro.experiments.parallel import TrialPlan, _run_trial_chunk, _TrialContext
 from repro.experiments.trials import TrialResult
-from repro.obs import Instrumentation, get_instrumentation, use_instrumentation
 
-#: One pool task: the session's trial context and its pre-drawn plans,
-#: plus whether the worker should collect counter deltas.
-SessionTask = Tuple[_TrialContext, Tuple[TrialPlan, ...], bool]
+#: One pool item: a session's trial context and its pre-drawn plans.
+SessionTask = Tuple[_TrialContext, Sequence[TrialPlan]]
 
 
-def _session_work(
-    task: SessionTask,
-) -> Tuple[List[TrialResult], Dict[str, int]]:
-    """Run one whole session's trials inside a pool worker."""
-    context, plans, collect = task
-    if not collect:
-        return [_run_planned_trial(context, plan) for plan in plans], {}
-    worker_obs = Instrumentation()
-    with use_instrumentation(worker_obs):
-        results = [_run_planned_trial(context, plan) for plan in plans]
-    return results, counter_deltas(worker_obs)
+def _run_session(_: None, task: SessionTask) -> List[TrialResult]:
+    """Run one whole session's trials (the executor's work function)."""
+    return _run_trial_chunk(*task)
 
 
 class SessionPool:
@@ -59,83 +43,30 @@ class SessionPool:
 
     def __init__(self, shards: int = 1) -> None:
         self.shards = max(1, int(shards))
-        self._pool = None
-        self._dead = False
+        self._executor = ForkExecutor(
+            _run_session,
+            None,
+            jobs=self.shards,
+            fallback_counter="service.pool.fallbacks",
+        )
 
     @property
     def pooled(self) -> bool:
         """Whether sessions currently go through a live pool."""
-        return self.shards > 1 and not self._dead
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            fork = _fork_context()
-            if fork is None:
-                self._dead = True
-                return None
-            self._pool = fork.Pool(self.shards)
-        return self._pool
-
-    def _retire(self) -> None:
-        """First failure kills the pool for good (fallback discipline)."""
-        self._dead = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.terminate()
-                pool.join()
-            except Exception:
-                pass
-        get_instrumentation().metrics.counter("service.pool.fallbacks").inc()
+        return self._executor.pooled
 
     def run_sessions(
-        self,
-        tasks: Sequence[Tuple[_TrialContext, Sequence[TrialPlan]]],
+        self, tasks: Sequence[SessionTask]
     ) -> List[List[TrialResult]]:
-        """Run several sessions' trials, one pool task per session.
+        """Run several sessions' trials, one pool item per session.
 
-        Returns per-session ``TrialResult`` lists in task order.  On
-        any pool failure the *whole batch* re-runs serially (trials are
-        pure functions of their plans, so the serial re-run reproduces
-        exactly what the pool would have returned) and the pool is
-        retired.
+        Returns per-session ``TrialResult`` lists in task order.
         """
-        obs = get_instrumentation()
-        payloads: List[SessionTask] = [
-            (context, tuple(plans), obs.enabled) for context, plans in tasks
-        ]
-        if self.pooled and len(payloads) > 0:
-            pool = self._ensure_pool()
-            if pool is not None:
-                try:
-                    outputs = pool.map(_session_work, payloads)
-                except Exception:
-                    self._retire()
-                else:
-                    merged: Dict[str, int] = {}
-                    results: List[List[TrialResult]] = []
-                    for session_results, deltas in outputs:
-                        results.append(session_results)
-                        for name, value in deltas.items():
-                            merged[name] = merged.get(name, 0) + value
-                    if obs.enabled:
-                        for name in sorted(merged):
-                            obs.metrics.counter(name).inc(merged[name])
-                    return results
-        return [
-            [_run_planned_trial(context, plan) for plan in plans]
-            for context, plans, _ in payloads
-        ]
+        return self._executor.map(tasks)
 
     def close(self) -> None:
-        """Shut the pool down cleanly (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.close()
-                pool.join()
-            except Exception:
-                pass
+        """Shut the pool down (idempotent)."""
+        self._executor.close()
 
 
 __all__ = ["SessionPool", "SessionTask"]

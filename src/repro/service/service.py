@@ -307,7 +307,6 @@ class ReconService:
             defense_factory=None,
             fault_plan=spec.fault_plan,
             probe_retries=spec.probe_retries,
-            collect_counters=get_instrumentation().enabled,
         )
 
     async def _run_batch(self, spec: JobSpec) -> Dict[str, object]:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.core.engine as engine_mod
+import repro.exec as exec_mod
 from repro.core.compact_model import CompactModel
 from repro.core.engine import ProbeScoringEngine, batched_conditional_gains
 from repro.core.inference import ReconInference
@@ -48,7 +49,7 @@ class TestEngineFallback:
         # Small blocks force >= 2 work items, so the pool branch (and
         # therefore the fallback) actually engages at this tiny size.
         monkeypatch.setattr(engine_mod, "SCORE_BLOCK", 2)
-        monkeypatch.setattr(engine_mod, "_fork_context", _BrokenContext)
+        monkeypatch.setattr(exec_mod, "_fork_context", _BrokenContext)
         backend = Instrumentation()
         with use_instrumentation(backend):
             pooled = ProbeScoringEngine(inference, n_jobs=2)
@@ -59,7 +60,7 @@ class TestEngineFallback:
 
     def test_fallback_is_recorded_in_stats_rows(self, inference, monkeypatch):
         monkeypatch.setattr(engine_mod, "SCORE_BLOCK", 2)
-        monkeypatch.setattr(engine_mod, "_fork_context", _BrokenContext)
+        monkeypatch.setattr(exec_mod, "_fork_context", _BrokenContext)
         engine = ProbeScoringEngine(inference, n_jobs=2)
         engine.score_tails((), (0, 1, 2, 3))
         rows = dict(engine.stats.rows())
@@ -94,7 +95,7 @@ class TestAdaptiveFallback:
 
         # Force multiple blocks so the pool branch engages, then break it.
         monkeypatch.setattr(engine_mod, "SCORE_BLOCK", 2)
-        monkeypatch.setattr(engine_mod, "_fork_context", _BrokenContext)
+        monkeypatch.setattr(exec_mod, "_fork_context", _BrokenContext)
         backend = Instrumentation()
         with use_instrumentation(backend):
             gains = batched_conditional_gains(

@@ -198,3 +198,41 @@ def test_shared_engine_across_calls():
     second = best_probe_set(inference, 2, engine=engine)
     assert first.stats is engine.stats
     assert second.stats is engine.stats
+
+
+def test_pooled_selection_keeps_worker_obs_counters():
+    """Worker-side kernel counters reach the parent's backend.
+
+    Workers can only repeat prefix work the serial run shares, so the
+    pooled ``kernel.sparse.matvecs`` total can never fall below the
+    serial one (the pool once dropped every worker increment: 3000
+    against 3896 on this configuration).
+    """
+    from repro.experiments.params import ExperimentParams
+    from repro.flows.config import ConfigGenerator
+    from repro.obs import Instrumentation, use_instrumentation
+
+    params = ExperimentParams()
+    config = ConfigGenerator(params.config, seed=2017).sample()
+    outcomes = {}
+    for n_jobs in (1, 2):
+        backend = Instrumentation()
+        with use_instrumentation(backend):
+            model = CompactModel(
+                config.policy,
+                config.universe,
+                config.delta,
+                config.cache_size,
+                kernel=params.kernel,
+            )
+            inference = ReconInference(
+                model, config.target_flow, config.window_steps
+            )
+            engine = ProbeScoringEngine(inference, n_jobs=n_jobs)
+            probes, gain = engine.best_set(3)
+        matvecs = backend.metrics.counter("kernel.sparse.matvecs").value
+        outcomes[n_jobs] = (probes, gain, matvecs)
+    serial, pooled = outcomes[1], outcomes[2]
+    assert pooled[:2] == serial[:2]
+    assert serial[2] > 0
+    assert pooled[2] >= serial[2]

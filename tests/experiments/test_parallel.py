@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.exec as exec_mod
 import repro.experiments.parallel as parallel_mod
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
@@ -284,12 +285,8 @@ class _BrokenContext:
         raise BrokenPipeError("simulated pool death")
 
 
-def _exploding_chunk_work(chunk):
-    raise RuntimeError("worker crashed mid-chunk")
-
-
-def _exploding_screen_work(config):
-    raise RuntimeError("screen worker crashed")
+def _exploding_work(task):
+    raise RuntimeError("worker crashed mid-item")
 
 
 class TestFallbacks:
@@ -297,7 +294,7 @@ class TestFallbacks:
         params = tiny_experiment_params(n_trials=10)
         baseline = ConfigHarness.sample(params).run_trials(keep_trials=True)
         monkeypatch.setattr(
-            parallel_mod, "_fork_context", lambda: _BrokenContext()
+            exec_mod, "_fork_context", lambda: _BrokenContext()
         )
         backend = Instrumentation()
         with use_instrumentation(backend):
@@ -316,9 +313,7 @@ class TestFallbacks:
     def test_trial_worker_exception_falls_back_serially(self, monkeypatch):
         params = tiny_experiment_params(n_trials=10)
         baseline = ConfigHarness.sample(params).run_trials(keep_trials=True)
-        monkeypatch.setattr(
-            parallel_mod, "_trial_chunk_work", _exploding_chunk_work
-        )
+        monkeypatch.setattr(exec_mod, "_work", _exploding_work)
         backend = Instrumentation()
         with use_instrumentation(backend):
             harness = ConfigHarness.sample(params)
@@ -339,7 +334,7 @@ class TestFallbacks:
             params, 2, generator=ConfigGenerator(params.config, seed=21)
         )
         monkeypatch.setattr(
-            parallel_mod, "_fork_context", lambda: _BrokenContext()
+            exec_mod, "_fork_context", lambda: _BrokenContext()
         )
         backend = Instrumentation()
         with use_instrumentation(backend):
@@ -364,9 +359,7 @@ class TestFallbacks:
         expected = sample_screened_harnesses(
             params, 2, generator=ConfigGenerator(params.config, seed=21)
         )
-        monkeypatch.setattr(
-            parallel_mod, "_screen_work", _exploding_screen_work
-        )
+        monkeypatch.setattr(exec_mod, "_work", _exploding_work)
         backend = Instrumentation()
         with use_instrumentation(backend):
             execution = parallel_mod.ExecutionStats(n_jobs=JOBS)

@@ -46,6 +46,7 @@ FIXTURE_CASES = [
     ("obs_violations.py", "OBS001", 4),
     ("flt_violations.py", "FLT001", 5),
     ("par_violations.py", "PAR001", 5),
+    ("par_executor_violations.py", "PAR001", 2),
     ("srv_violations.py", "SRV101", 3),
     ("def_violations.py", "DEF001", 6),
 ]

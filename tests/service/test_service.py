@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.exec as exec_mod
 from repro.experiments.harness import ConfigHarness
 from repro.flows.config import ConfigGenerator
 from repro.obs import Instrumentation, use_instrumentation
@@ -153,13 +154,20 @@ class _ExplodingPool:
         pass
 
 
+class _ExplodingContext:
+    """Stands in for the fork context; its pool's map always dies."""
+
+    def Pool(self, *args, **kwargs):
+        return _ExplodingPool()
+
+
 class TestPoolFallback:
     def test_pool_death_falls_back_serially_and_counts(
-        self, reference, tmp_path
+        self, reference, tmp_path, monkeypatch
     ):
         spec, job_id, expected, document = reference
+        monkeypatch.setattr(exec_mod, "_fork_context", _ExplodingContext)
         service = ReconService(tmp_path / "state", shards=2)
-        service.pool._pool = _ExplodingPool()
         obs = Instrumentation()
         try:
             with use_instrumentation(obs):

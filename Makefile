@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-full profile-headline demo examples check check-project sanitize-smoke lint stats faults-smoke parallel-smoke serve-smoke defend-smoke coverage clean
+.PHONY: install test test-fast bench bench-smoke bench-full perfbench profile-headline demo examples check check-project sanitize-smoke lint stats faults-smoke parallel-smoke serve-smoke defend-smoke coverage clean
 
 install:
 	pip install -e .
@@ -27,6 +27,18 @@ bench-smoke:
 
 bench-full:
 	REPRO_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): one
+# workload or all, end-to-end metrics (TRACE=0) or the per-layer ledger
+# (TRACE=1); the last stdout line is JSON.  Override on the command
+# line, e.g. `make perfbench WORKLOAD=fig6-screen TRACE=1`.
+WORKLOAD ?= all
+SEED ?= 2017
+TRACE ?= 0
+
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--trace $(TRACE)
 
 # Where the headline run spends its budget: a reduced-scale headline
 # experiment with the phase profiler attached, printed as a per-phase

@@ -1,22 +1,26 @@
 """Optional native (C) kernel for the float32 screening pre-pass.
 
-The fast-path candidate screen (:mod:`repro.core.fastscreen`) spends
-nearly all of its time powering two transition chains per candidate --
-``window_steps`` sparse matvecs against the full and target-excluded
-matrices.  scipy's float64 matvec is the exact reference; profiling
-showed the float32 screen gets no speedup from scipy (the matrices fit
-in L2, so the loop is core-bound on scalar index gathers, not
-memory-bound), which is why this module exists: a small C kernel,
-compiled on demand with the system ``gcc``, that fuses the whole
-``steps``-long pair of chains into one call using
+The fast-path candidate screen (:mod:`repro.experiments.fastscreen`)
+spends most of its time powering two transition chains per candidate
+-- ``window_steps`` sparse matvecs against the full and
+target-excluded matrices.  scipy's float64 matvec is the exact
+reference; the matrices fit in L2, so a float32 matvec is bound by
+index gathers and per-row overhead, not by memory.  This module is a
+small C kernel, compiled on demand with the system ``gcc``, that fuses
+the whole ``steps``-long pair of chains into one call over one
+sliced-ELLPACK layout (SELL-C-sigma, Kreutzer et al. 2014) shared by
+both chains:
 
-* ``float32`` data with ``uint16`` column indices (halves the per-entry
-  footprint and decode cost; transition spaces here are far below the
-  65536-state limit), and
-* an AVX-512 inner loop with two 16-lane gather+FMA streams in flight
-  (~2.2x over scipy on the headline workload), guarded by
-  ``__builtin_cpu_supports`` with a portable unrolled-scalar fallback
-  selected at runtime.
+* rows are sorted by descending length (a symmetric permutation) and
+  cut into 16-row slices, each stored column-major as wide as its
+  longest row, with ``uint16`` column indices;
+* the two chains are interleaved in the state vector and in the data
+  (``x[2j]`` full, ``x[2j+1]`` excluded), so on AVX-512 one 8-lane
+  64-bit gather fetches both chains' values for 8 rows and one 16-lane
+  FMA advances them: the accumulators are the output rows, with no
+  horizontal reduction and no masked row tail;
+* a portable scalar step runs on the same layout where the CPU lacks
+  AVX-512 (``__builtin_cpu_supports``, checked at run time).
 
 The kernel is *approximate by construction* (float32); it is only ever
 used behind the certified screen, which falls back to the exact float64
@@ -25,9 +29,9 @@ path whenever the float32 error bounds cannot certify a verdict.  When
 degrades to ``available() == False`` and the screen runs exact-only --
 behaviour stays correct, only slower.
 
-Shared objects are cached under :func:`cache_dir` keyed by a digest of
-the C source and compiler, so the one-time compile (~1 s) is paid per
-machine, not per run.
+Shared objects are cached under :func:`cache_dir`, named by a digest of
+the C source together with the compile command, so the one-time compile
+(~1 s) is paid per machine and per set of flags, not per run.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.obs import sanitize
+
 #: Environment override for the shared-object cache directory.
 CACHE_ENV_VAR = "REPRO_CKERNEL_CACHE"
 
@@ -53,68 +59,67 @@ DISABLE_ENV_VAR = "REPRO_NO_CKERNEL"
 #: uint16 column indices bound the state-space size the kernel accepts.
 MAX_STATES = 65536
 
+#: Rows per slice of the kernel layout: two 8-row halves, one AVX-512
+#: gather+FMA each per column.  The C steps are written for 16.
+SLICE_ROWS = 16
+
 _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 #include <immintrin.h>
 
-/* Portable scalar inner matvec: f32 data, u16 column indices, four
-   accumulators to break the dependency chain. */
-static void matvec_scalar(int64_t n, const int32_t *indptr,
-                          const uint16_t *indices, const float *data,
-                          const float *x, float *y) {
-    for (int64_t i = 0; i < n; i++) {
-        int32_t lo = indptr[i], hi = indptr[i + 1];
-        float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-        int32_t jj = lo;
-        for (; jj + 4 <= hi; jj += 4) {
-            s0 += data[jj] * x[indices[jj]];
-            s1 += data[jj + 1] * x[indices[jj + 1]];
-            s2 += data[jj + 2] * x[indices[jj + 2]];
-            s3 += data[jj + 3] * x[indices[jj + 3]];
+/* Both chains advance one step over the shared sliced-ELLPACK layout.
+   Slice s covers permuted rows 16s..16s+15 and holds its entries
+   column-major between slice_ptr[s] and slice_ptr[s+1]: each column is
+   16 row slots (two 8-row halves), idx[e] the permuted source state of
+   slot e and data[2e], data[2e+1] its full and excluded probabilities.
+   x and y interleave the chains the same way: x[2j] full, x[2j+1]
+   excluded.  Padding slots carry index 0 and zero data. */
+static void step_scalar(int64_t n_slices, const int64_t *slice_ptr,
+                        const uint16_t *idx, const float *data,
+                        const float *x, float *y) {
+    for (int64_t s = 0; s < n_slices; s++) {
+        /* One half at a time: 16 accumulators stay in registers. */
+        for (int h = 0; h < 16; h += 8) {
+            float acc[16] = {0.0f};
+            for (int64_t e = slice_ptr[s] + h; e < slice_ptr[s + 1];
+                 e += 16) {
+                const uint16_t *col = idx + e;
+                const float *d = data + 2 * e;
+                for (int r = 0; r < 8; r++) {
+                    const float *xs = x + 2 * (int64_t)col[r];
+                    acc[2 * r] += d[2 * r] * xs[0];
+                    acc[2 * r + 1] += d[2 * r + 1] * xs[1];
+                }
+            }
+            memcpy(y + 32 * s + 2 * h, acc, sizeof acc);
         }
-        for (; jj < hi; jj++)
-            s0 += data[jj] * x[indices[jj]];
-        y[i] = (s0 + s1) + (s2 + s3);
     }
 }
 
-/* AVX-512 inner matvec: two 16-lane gather+FMA streams in flight. */
-__attribute__((target("avx512f,avx512bw,avx512vl")))
-static void matvec_avx512(int64_t n, const int32_t *indptr,
-                          const uint16_t *indices, const float *data,
-                          const float *x, float *y) {
-    const __m512 vz = _mm512_setzero_ps();
-    for (int64_t i = 0; i < n; i++) {
-        int32_t lo = indptr[i], hi = indptr[i + 1];
-        __m512 acc0 = vz, acc1 = vz;
-        int32_t jj = lo;
-        for (; jj + 32 <= hi; jj += 32) {
-            __m512i idx0 = _mm512_cvtepu16_epi32(
-                _mm256_loadu_si256((const __m256i *)(indices + jj)));
-            __m512i idx1 = _mm512_cvtepu16_epi32(
-                _mm256_loadu_si256((const __m256i *)(indices + jj + 16)));
-            __m512 xv0 = _mm512_i32gather_ps(idx0, x, 4);
-            __m512 xv1 = _mm512_i32gather_ps(idx1, x, 4);
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(data + jj), xv0, acc0);
-            acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(data + jj + 16), xv1, acc1);
+/* AVX-512: per half, one 8-lane 64-bit gather fetches both chains'
+   values for 8 rows and one 16-lane FMA advances them; the
+   accumulators are the output rows, so nothing is reduced. */
+__attribute__((target("avx512f")))
+static void step_avx512(int64_t n_slices, const int64_t *slice_ptr,
+                        const uint16_t *idx, const float *data,
+                        const float *x, float *y) {
+    for (int64_t s = 0; s < n_slices; s++) {
+        __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
+        for (int64_t e = slice_ptr[s]; e < slice_ptr[s + 1]; e += 16) {
+            __m256i lo = _mm256_cvtepu16_epi32(
+                _mm_loadu_si128((const __m128i *)(idx + e)));
+            __m256i hi = _mm256_cvtepu16_epi32(
+                _mm_loadu_si128((const __m128i *)(idx + e + 8)));
+            __m512d x0 = _mm512_i32gather_pd(lo, (const void *)x, 8);
+            __m512d x1 = _mm512_i32gather_pd(hi, (const void *)x, 8);
+            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(data + 2 * e),
+                                   _mm512_castpd_ps(x0), acc0);
+            acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(data + 2 * e + 16),
+                                   _mm512_castpd_ps(x1), acc1);
         }
-        for (; jj + 16 <= hi; jj += 16) {
-            __m512i idx = _mm512_cvtepu16_epi32(
-                _mm256_loadu_si256((const __m256i *)(indices + jj)));
-            __m512 xv = _mm512_i32gather_ps(idx, x, 4);
-            acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(data + jj), xv, acc0);
-        }
-        int32_t rem = hi - jj;
-        if (rem) {
-            __mmask16 m = (__mmask16)((1u << rem) - 1u);
-            __m512i idx = _mm512_cvtepu16_epi32(
-                _mm256_maskz_loadu_epi16(m, (const void *)(indices + jj)));
-            __m512 d = _mm512_maskz_loadu_ps(m, data + jj);
-            __m512 xv = _mm512_mask_i32gather_ps(vz, m, idx, x, 4);
-            acc0 = _mm512_fmadd_ps(d, xv, acc0);
-        }
-        y[i] = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+        _mm512_storeu_ps(y + 32 * s, acc0);
+        _mm512_storeu_ps(y + 32 * s + 16, acc1);
     }
 }
 
@@ -122,40 +127,38 @@ static int avx512_supported(void) {
     static int cached = -1;
     if (cached < 0) {
         __builtin_cpu_init();
-        cached = __builtin_cpu_supports("avx512f")
-                 && __builtin_cpu_supports("avx512bw")
-                 && __builtin_cpu_supports("avx512vl");
+        cached = __builtin_cpu_supports("avx512f");
     }
     return cached;
 }
 
 int repro_simd_level(void) { return avx512_supported() ? 1 : 0; }
 
-/* The fused entry point: power two chains (full / target-excluded)
-   for `steps` steps.  x1/x2 hold the initial distributions on entry
-   and the final ones on return; t1/t2 are caller-provided scratch. */
-void repro_pair_chain_f32(int64_t n, int64_t steps,
-                          const int32_t *aptr, const uint16_t *aidx,
-                          const float *adata,
-                          const int32_t *bptr, const uint16_t *bidx,
-                          const float *bdata,
-                          float *x1, float *x2, float *t1, float *t2) {
-    void (*matvec)(int64_t, const int32_t *, const uint16_t *,
-                   const float *, const float *, float *) =
-        avx512_supported() ? matvec_avx512 : matvec_scalar;
+/* Power both chains `steps` times.  x holds the interleaved initial
+   pair on entry and the final pair on return; t is scratch of the same
+   size (32 floats per slice).  simd selects the AVX-512 step where the
+   CPU has it, the scalar step otherwise. */
+void repro_pair_chain_sell(int64_t n_slices, int64_t steps,
+                           const int64_t *slice_ptr, const uint16_t *idx,
+                           const float *data, float *x, float *t,
+                           int simd) {
+    void (*step)(int64_t, const int64_t *, const uint16_t *,
+                 const float *, const float *, float *) =
+        (simd && avx512_supported()) ? step_avx512 : step_scalar;
+    float *out = x;
     for (int64_t s = 0; s < steps; s++) {
-        matvec(n, aptr, aidx, adata, x1, t1);
-        matvec(n, bptr, bidx, bdata, x2, t2);
-        float *tmp;
-        tmp = x1; x1 = t1; t1 = tmp;
-        tmp = x2; x2 = t2; t2 = tmp;
+        step(n_slices, slice_ptr, idx, data, x, t);
+        float *tmp = x; x = t; t = tmp;
     }
-    if (steps & 1) {  /* results sit in the caller's scratch: copy back */
-        memcpy(t1, x1, (size_t)n * sizeof(float));
-        memcpy(t2, x2, (size_t)n * sizeof(float));
-    }
+    if (x != out)  /* odd step count: the result sits in the scratch */
+        memcpy(out, x, (size_t)n_slices * 32 * sizeof(float));
 }
 """
+
+#: The compile command; ``{source}`` and ``{output}`` are filled per build.
+_COMPILE_ARGV: Tuple[str, ...] = (
+    "gcc", "-O3", "-shared", "-fPIC", "{source}", "-o", "{output}",
+)
 
 _lock = threading.Lock()
 _library: Optional[ctypes.CDLL] = None
@@ -173,8 +176,11 @@ def cache_dir() -> str:
     )
 
 
-def _source_digest() -> str:
-    return hashlib.sha256(_SOURCE.encode("utf-8")).hexdigest()[:16]
+def _kernel_filename(compile_argv: Tuple[str, ...] = _COMPILE_ARGV) -> str:
+    """Cache file name: a digest of the C source and the compile command."""
+    digest = hashlib.sha256(_SOURCE.encode("utf-8"))
+    digest.update("\0".join(compile_argv).encode("utf-8"))
+    return f"screenkernel-{digest.hexdigest()[:16]}.so"
 
 
 def _compile(target: str) -> None:
@@ -189,7 +195,10 @@ def _compile(target: str) -> None:
             handle.write(_SOURCE)
         object_path = source_path[:-2] + ".so"
         subprocess.run(
-            ["gcc", "-O3", "-shared", "-fPIC", source_path, "-o", object_path],
+            [
+                arg.format(source=source_path, output=object_path)
+                for arg in _COMPILE_ARGV
+            ],
             check=True,
             capture_output=True,
             timeout=120,
@@ -206,17 +215,16 @@ def _compile(target: str) -> None:
 
 
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
-    i32p = ctypes.POINTER(ctypes.c_int32)
+    i64p = ctypes.POINTER(ctypes.c_int64)
     u16p = ctypes.POINTER(ctypes.c_uint16)
     f32p = ctypes.POINTER(ctypes.c_float)
     library.repro_simd_level.restype = ctypes.c_int
     library.repro_simd_level.argtypes = []
-    library.repro_pair_chain_f32.restype = None
-    library.repro_pair_chain_f32.argtypes = [
+    library.repro_pair_chain_sell.restype = None
+    library.repro_pair_chain_sell.argtypes = [
         ctypes.c_int64, ctypes.c_int64,
-        i32p, u16p, f32p,
-        i32p, u16p, f32p,
-        f32p, f32p, f32p, f32p,
+        i64p, u16p, f32p,
+        f32p, f32p, ctypes.c_int,
     ]
     return library
 
@@ -232,9 +240,7 @@ def _load() -> Optional[ctypes.CDLL]:
             _load_error = f"disabled via {DISABLE_ENV_VAR}=1"
             _load_attempted = True
             return None
-        target = os.path.join(
-            cache_dir(), f"screenkernel-{_source_digest()}.so"
-        )
+        target = os.path.join(cache_dir(), _kernel_filename())
         try:
             if not os.path.exists(target):
                 _compile(target)
@@ -278,6 +284,82 @@ def _as_ptr(array: np.ndarray, ctype) -> "ctypes._Pointer":
     return array.ctypes.data_as(ctypes.POINTER(ctype))
 
 
+def _union_pattern(
+    n: int,
+    a: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    b: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Both matrices' values on the union of their CSR patterns.
+
+    Each union entry carries ``a``'s value (or zero) and ``b``'s value
+    (or zero); an explicit zero adds exactly 0 in the kernel, so the
+    chains are those of the two original matrices.
+    """
+    keys = [
+        np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * MAX_STATES
+        + indices
+        for indptr, indices, _ in (a, b)
+    ]
+    union, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    data_a, data_b = (
+        np.bincount(part, weights=data, minlength=len(union)).astype(
+            np.float32
+        )
+        for part, (_, _, data) in zip(
+            np.split(inverse, [len(keys[0])]), (a, b)
+        )
+    )
+    indptr = np.searchsorted(union, np.arange(n + 1) * MAX_STATES)
+    return indptr, (union % MAX_STATES).astype(np.uint16), data_a, data_b
+
+
+def _sell_layout(
+    n: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data_a: np.ndarray,
+    data_b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's shared-pattern sliced-ELLPACK layout.
+
+    Rows are permuted by descending length (the same relabelling is
+    applied to the column indices, so the operator is permuted
+    symmetrically) and cut into slices of :data:`SLICE_ROWS`.  A slice
+    is as wide as its longest row (its first: rows are sorted) and is
+    stored column-major, both chains' values interleaved per slot.
+    Returns ``(position, slice_ptr, idx, data)``: ``position[i]`` is
+    row ``i``'s place in the permuted order.
+    """
+    lengths = np.diff(indptr).astype(np.int64)
+    perm = np.argsort(-lengths, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[perm] = np.arange(n)
+    widths = lengths[perm[::SLICE_ROWS]]  # each slice's first row
+    slice_ptr = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths * SLICE_ROWS, out=slice_ptr[1:])
+    # Entry j of row i lands in slot (column j, lane position % 16) of
+    # the row's slice.
+    row_base = (
+        slice_ptr[position // SLICE_ROWS]
+        + position % SLICE_ROWS
+        - SLICE_ROWS * indptr[:-1].astype(np.int64)
+    )
+    slots = np.repeat(row_base, lengths) + SLICE_ROWS * np.arange(
+        len(indices), dtype=np.int64
+    )
+    idx = np.zeros(slice_ptr[-1], dtype=np.uint16)
+    idx[slots] = position[indices]
+    data = np.zeros((slice_ptr[-1], 2), dtype=np.float32)
+    data[slots, 0] = data_a
+    data[slots, 1] = data_b
+    if sanitize.is_active():
+        for buffer in (slice_ptr, idx, data):
+            buffer.setflags(write=False)
+        sanitize.guard_array("cnative.sell.idx", idx)
+        sanitize.guard_array("cnative.sell.data", data)
+    return position, slice_ptr, idx, data
+
+
 def pair_chain_f32(
     indptr_a: np.ndarray,
     indices_a: np.ndarray,
@@ -290,33 +372,64 @@ def pair_chain_f32(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Power two float32 chains ``steps`` times; returns the final pair.
 
-    The matrices arrive pre-transposed in CSR pieces (``int32`` indptr,
+    The matrices arrive pre-transposed in CSR pieces (integer indptr,
     ``uint16`` indices, ``float32`` data) so ``y = M x`` walks rows of
     the transposed operator -- the same orientation scipy's reference
     chains use.  ``x0`` is the shared float32 initial distribution.
+    Passing the same ``indptr``/``indices`` objects for both matrices
+    (the screen's case) skips the pattern union.
     """
+    library = _load()
+    simd = library is not None and bool(library.repro_simd_level())
+    return _pair_chain_f32(
+        indptr_a, indices_a, data_a, indptr_b, indices_b, data_b,
+        x0, steps, simd=simd,
+    )
+
+
+def _pair_chain_f32(
+    indptr_a: np.ndarray,
+    indices_a: np.ndarray,
+    data_a: np.ndarray,
+    indptr_b: np.ndarray,
+    indices_b: np.ndarray,
+    data_b: np.ndarray,
+    x0: np.ndarray,
+    steps: int,
+    *,
+    simd: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`pair_chain_f32` on the AVX-512 (``simd``) or scalar step."""
     library = _load()
     if library is None:
         raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    if simd and not library.repro_simd_level():
+        raise ValueError("the AVX-512 step needs a CPU with avx512f")
     n = x0.shape[0]
     if n > MAX_STATES:
         raise ValueError(f"state space too large for uint16 indices: {n}")
-    x1 = np.ascontiguousarray(x0, dtype=np.float32).copy()
-    x2 = x1.copy()
-    t1 = np.empty_like(x1)
-    t2 = np.empty_like(x2)
-    library.repro_pair_chain_f32(
-        ctypes.c_int64(n),
-        ctypes.c_int64(int(steps)),
-        _as_ptr(indptr_a, ctypes.c_int32),
-        _as_ptr(indices_a, ctypes.c_uint16),
-        _as_ptr(data_a, ctypes.c_float),
-        _as_ptr(indptr_b, ctypes.c_int32),
-        _as_ptr(indices_b, ctypes.c_uint16),
-        _as_ptr(data_b, ctypes.c_float),
-        _as_ptr(x1, ctypes.c_float),
-        _as_ptr(x2, ctypes.c_float),
-        _as_ptr(t1, ctypes.c_float),
-        _as_ptr(t2, ctypes.c_float),
+    if indptr_a is indptr_b and indices_a is indices_b:
+        indptr, indices = indptr_a, indices_a
+    else:
+        indptr, indices, data_a, data_b = _union_pattern(
+            n, (indptr_a, indices_a, data_a), (indptr_b, indices_b, data_b)
+        )
+    position, slice_ptr, idx, data = _sell_layout(
+        n, indptr, indices, data_a, data_b
     )
-    return x1, x2
+    x = np.zeros((len(slice_ptr) - 1) * SLICE_ROWS * 2, dtype=np.float32)
+    pairs = x[: 2 * n].reshape(n, 2)  # a view, in permuted order
+    pairs[position] = np.asarray(x0, dtype=np.float32)[:, None]
+    scratch = np.empty_like(x)
+    library.repro_pair_chain_sell(
+        ctypes.c_int64(len(slice_ptr) - 1),
+        ctypes.c_int64(int(steps)),
+        _as_ptr(slice_ptr, ctypes.c_int64),
+        _as_ptr(idx, ctypes.c_uint16),
+        _as_ptr(data, ctypes.c_float),
+        _as_ptr(x, ctypes.c_float),
+        _as_ptr(scratch, ctypes.c_float),
+        ctypes.c_int(int(simd)),
+    )
+    full, excluded = np.ascontiguousarray(pairs[position].T)
+    return full, excluded

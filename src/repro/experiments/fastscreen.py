@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core import cnative
 from repro.core.compact_model import CompactModel
@@ -135,37 +134,49 @@ def reachable_states(model: CompactModel) -> np.ndarray:
             return reach
 
 
-def _transposed_csr_f32(
-    rows: np.ndarray, cols: np.ndarray, probs: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:  # repro: noqa[STO001]
-    """CSR pieces of the transposed matrix, in kernel dtypes.
+def _shared_pattern_f32(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    probs: np.ndarray,
+    tags: np.ndarray,
+    target: int,
+    n: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transposed CSR pieces of the full and target-excluded matrices.
 
-    Mirrors ``CompactModel._assemble_csr`` (consecutive duplicate
-    (row, col) runs summed left to right) but skips the float64 matrix
-    cache, stochasticity validation, and buffer freezing the exact path
-    performs -- the float32 product is consumed once, here.
+    Both matrices share one pattern: consecutive duplicate (row, col)
+    runs are summed left to right (as ``CompactModel._assemble_csr``
+    does) once for the full probabilities and once with the target's
+    entries zeroed, on the same run boundaries.  The excluded pattern is
+    a subset of the full one and an explicit zero adds exactly 0, so
+    the kernel powers the excluded matrix over the full pattern.
+    Returns ``(indptr, indices, full, excluded)`` in kernel dtypes.
     """
     boundary = np.empty(len(rows), dtype=bool)
     boundary[0] = True
     boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     starts = np.flatnonzero(boundary)
-    data = np.add.reduceat(probs, starts)
-    indices = cols[starts].astype(np.int32, copy=False)
+    full = np.add.reduceat(probs, starts)
+    excluded = np.add.reduceat(np.where(tags != target, probs, 0.0), starts)
+    # Transpose: a stable sort of the runs by column keeps each
+    # column's rows ascending.
+    run_cols = cols[starts].astype(np.uint16)
+    order = np.argsort(run_cols, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(
-        np.bincount(rows[starts], minlength=n), out=indptr[1:], dtype=np.int32
+        np.bincount(run_cols, minlength=n), out=indptr[1:], dtype=np.int32
     )
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-    transposed = matrix.T.tocsr()
     pieces = (
-        np.ascontiguousarray(transposed.indptr, dtype=np.int32),
-        np.ascontiguousarray(transposed.indices, dtype=np.uint16),
-        np.ascontiguousarray(transposed.data, dtype=np.float32),
+        indptr,
+        rows[starts[order]].astype(np.uint16),
+        full[order].astype(np.float32),
+        excluded[order].astype(np.float32),
     )
     if sanitize.is_active():
         for piece in pieces:
             piece.setflags(write=False)
-        sanitize.guard_array("fastscreen.transposed.data", pieces[2])
+        sanitize.guard_array("fastscreen.shared.full", pieces[2])
+        sanitize.guard_array("fastscreen.shared.excluded", pieces[3])
     return pieces
 
 
@@ -178,13 +189,12 @@ def fast_quantities(
     rows, cols, probs, tags = model._sorted_entries()
     if len(rows) == 0:
         return None
-    n = model.n_states
-    full = _transposed_csr_f32(rows, cols, probs, n)
-    keep = tags != target
-    excluded = _transposed_csr_f32(rows[keep], cols[keep], probs[keep], n)
+    indptr, indices, full, excluded = _shared_pattern_f32(
+        rows, cols, probs, tags, target, model.n_states
+    )
     x0 = model.initial_distribution().astype(np.float32)
     dist_full32, dist_absent32 = cnative.pair_chain_f32(
-        *full, *excluded, x0, window_steps
+        indptr, indices, full, indptr, indices, excluded, x0, window_steps
     )
     dist_full = dist_full32.astype(np.float64)
     dist_absent = dist_absent32.astype(np.float64)

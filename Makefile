@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench bench-smoke bench-full perfbench profile-headline demo examples check check-project sanitize-smoke lint stats faults-smoke parallel-smoke serve-smoke defend-smoke coverage clean
+.PHONY: install test test-fast bench bench-smoke bench-full perfbench perfbench-smoke profile-headline demo examples check check-project sanitize-smoke lint stats faults-smoke parallel-smoke serve-smoke defend-smoke coverage clean
 
 install:
 	pip install -e .
@@ -39,6 +39,18 @@ TRACE ?= 0
 perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--trace $(TRACE)
+
+# Benchmark smoke: a short traced fig6-screen pass must exit 0 and end
+# on a JSON line with "correct": true -- every name the per-layer
+# ledger wraps still resolves, and the seed-2017 output checks (result
+# digests, counter cross-checks) hold.  About a minute of wall clock.
+perfbench-smoke:
+	python3 perfbench/run.py --workload fig6-screen --seed 2017 \
+		--seconds 10 --trace 1 > /tmp/repro-perfbench-smoke.txt
+	@tail -n 1 /tmp/repro-perfbench-smoke.txt | $(PYTHON) -c "import json, sys; \
+		doc = json.loads(sys.stdin.read()); \
+		assert doc.get('correct') is True, 'perfbench-smoke: correct is not true'; \
+		print('perfbench-smoke: traced fig6-screen pass correct')"
 
 # Where the headline run spends its budget: a reduced-scale headline
 # experiment with the phase profiler attached, printed as a per-phase

@@ -1,4 +1,4 @@
-"""Optional native (C) kernel for the float32 screening pre-pass.
+"""Optional native (C) kernels for the float32 screening pre-pass.
 
 The fast-path candidate screen (:mod:`repro.experiments.fastscreen`)
 spends most of its time powering two transition chains per candidate
@@ -22,6 +22,18 @@ both chains:
 * a portable scalar step runs on the same layout where the CPU lacks
   AVX-512 (``__builtin_cpu_supports``, checked at run time).
 
+The chains' operators come from the same source: a second C entry
+(:func:`screen_operator_f32`) builds them straight from a model's
+memoised arrival events (:func:`repro.core.transition_build.build_events`).
+It splits each event into its at-most-one-expiry branches with the
+exact expansion's multiply and add order, sums each source row's
+branches per successor column in float64 -- once in full, once without
+the target flow -- and counting-sorts the runs by column into the
+transposed float32 CSR pieces :func:`pair_chain_f32` takes.  So the
+screen never materialises, sorts or reduces the exact COO entries
+(~300k per fig6 candidate); only candidates that fall back to the
+exact path build them.
+
 The kernel is *approximate by construction* (float32); it is only ever
 used behind the certified screen, which falls back to the exact float64
 path whenever the float32 error bounds cannot certify a verdict.  When
@@ -42,11 +54,14 @@ import os
 import subprocess
 import tempfile
 import threading
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.obs import sanitize
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.transition_build import ArrivalEvents
 
 #: Environment override for the shared-object cache directory.
 CACHE_ENV_VAR = "REPRO_CKERNEL_CACHE"
@@ -65,6 +80,7 @@ SLICE_ROWS = 16
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <immintrin.h>
 
@@ -134,6 +150,109 @@ static int avx512_supported(void) {
 
 int repro_simd_level(void) { return avx512_supported() ? 1 : 0; }
 
+/* The screen's full and target-excluded operators, transposed, built
+   from row-sorted arrival events (transition_build.ArrivalEvents).  Each
+   event splits into its keep-all branch and one expiry branch per live
+   rule, with the fractions of transition_build._expand_expiries: the
+   same multiplies and adds in the same ascending-rule order, in
+   float64.  A source row's positive branches are summed per successor
+   column, once in full and once without the target flow's events; a
+   stable counting sort by column then writes the transposed CSR pieces
+   (source rows ascending within a column), rounded to float32.  cap
+   bounds the branches (one keep plus one per live rule per event), so
+   it bounds the (row, column) runs.  Returns the run count, or -1 when
+   scratch cannot be allocated or cap is too small. */
+int64_t repro_screen_operator(
+        int64_t n_states, int64_t n_rules, int64_t n_events, int64_t cap,
+        const int64_t *rows, const int64_t *interim, const int64_t *live,
+        const double *base, const int64_t *tag, int64_t target,
+        const double *hazard, const int64_t *lookup,
+        int32_t *indptr, uint16_t *indices, float *full, float *excluded) {
+    double *acc = malloc((size_t)n_states * 2 * sizeof(double));
+    int64_t *seen = malloc((size_t)n_states * sizeof(int64_t));
+    int32_t *touched = malloc((size_t)n_states * sizeof(int32_t));
+    /* + 1: a zero-size request may return NULL */
+    uint16_t *run_col = malloc((size_t)cap * sizeof(uint16_t) + 1);
+    uint16_t *run_row = malloc((size_t)cap * sizeof(uint16_t) + 1);
+    float *run_val = malloc((size_t)cap * 2 * sizeof(float) + 1);
+    int64_t n_runs = -1;
+    if (!acc || !seen || !touched || !run_col || !run_row || !run_val)
+        goto done;
+    for (int64_t i = 0; i < n_states; i++) seen[i] = -1;
+    memset(indptr, 0, (size_t)(n_states + 1) * sizeof(int32_t));
+    n_runs = 0;
+    for (int64_t e = 0; e < n_events;) {
+        const int64_t row = rows[e];
+        const double *h = hazard + row * n_rules;
+        int64_t n_touched = 0;
+        for (; e < n_events && rows[e] == row; e++) {
+            /* The live rules ascending; the leave-one-out weights and
+               the normaliser accumulate over them in that order. */
+            int lr[64], n_live = 0;
+            for (uint64_t m = (uint64_t)live[e]; m; m &= m - 1)
+                lr[n_live++] = __builtin_ctzll(m);
+            double keep = 1.0, w[64], total;
+            for (int a = 0; a < n_live; a++) w[a] = h[lr[a]];
+            for (int a = 0; a < n_live; a++) {
+                const double f = 1.0 - h[lr[a]];
+                keep *= f;
+                for (int b = 0; b < n_live; b++)
+                    if (b != a) w[b] *= f;
+            }
+            total = keep;
+            for (int a = 0; a < n_live; a++) total += w[a];
+            /* The keep-all branch, then one per live rule. */
+            int64_t col[65];
+            double p[65];
+            col[0] = lookup[interim[e]];
+            p[0] = base[e] * (keep / total);
+            for (int a = 0; a < n_live; a++) {
+                col[a + 1] = lookup[interim[e] & ~((int64_t)1 << lr[a])];
+                p[a + 1] = base[e] * (w[a] / total);
+            }
+            const int n_branches = n_live + 1;
+            for (int b = 0; b < n_branches; b++) {
+                const int64_t c = col[b];
+                if (!(p[b] > 0.0)) continue;
+                if (seen[c] != row) {
+                    seen[c] = row;
+                    touched[n_touched++] = (int32_t)c;
+                    acc[2 * c] = 0.0;
+                    acc[2 * c + 1] = 0.0;
+                }
+                acc[2 * c] += p[b];
+                if (tag[e] != target) acc[2 * c + 1] += p[b];
+            }
+        }
+        if (n_runs + n_touched > cap) {  /* cap too small: refuse */
+            n_runs = -1;
+            goto done;
+        }
+        for (int64_t k = 0; k < n_touched; k++, n_runs++) {
+            const int32_t col = touched[k];
+            run_col[n_runs] = (uint16_t)col;
+            run_row[n_runs] = (uint16_t)row;
+            run_val[2 * n_runs] = (float)acc[2 * col];
+            run_val[2 * n_runs + 1] = (float)acc[2 * col + 1];
+            indptr[col + 1]++;
+        }
+    }
+    for (int64_t c = 0; c < n_states; c++) {
+        indptr[c + 1] += indptr[c];
+        seen[c] = indptr[c];  /* now each column's write cursor */
+    }
+    for (int64_t k = 0; k < n_runs; k++) {
+        const int64_t at = seen[run_col[k]]++;
+        indices[at] = run_row[k];
+        full[at] = run_val[2 * k];
+        excluded[at] = run_val[2 * k + 1];
+    }
+done:
+    free(acc); free(seen); free(touched);
+    free(run_col); free(run_row); free(run_val);
+    return n_runs;
+}
+
 /* Power both chains `steps` times.  x holds the interleaved initial
    pair on entry and the final pair on return; t is scratch of the same
    size (32 floats per slice).  simd selects the AVX-512 step where the
@@ -156,8 +275,11 @@ void repro_pair_chain_sell(int64_t n_slices, int64_t steps,
 """
 
 #: The compile command; ``{source}`` and ``{output}`` are filled per build.
+#: ``-ffp-contract=off`` keeps every float64 product of the operator
+#: build rounded on its own, as numpy rounds it.
 _COMPILE_ARGV: Tuple[str, ...] = (
-    "gcc", "-O3", "-shared", "-fPIC", "{source}", "-o", "{output}",
+    "gcc", "-O3", "-ffp-contract=off", "-shared", "-fPIC", "{source}",
+    "-o", "{output}",
 )
 
 _lock = threading.Lock()
@@ -220,6 +342,14 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     f32p = ctypes.POINTER(ctypes.c_float)
     library.repro_simd_level.restype = ctypes.c_int
     library.repro_simd_level.argtypes = []
+    f64p = ctypes.POINTER(ctypes.c_double)
+    i32p = ctypes.POINTER(ctypes.c_int32)
+    library.repro_screen_operator.restype = ctypes.c_int64
+    library.repro_screen_operator.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        i64p, i64p, i64p, f64p, i64p, ctypes.c_int64, f64p, i64p,
+        i32p, u16p, f32p, f32p,
+    ]
     library.repro_pair_chain_sell.restype = None
     library.repro_pair_chain_sell.argtypes = [
         ctypes.c_int64, ctypes.c_int64,
@@ -358,6 +488,69 @@ def _sell_layout(
         sanitize.guard_array("cnative.sell.idx", idx)
         sanitize.guard_array("cnative.sell.data", data)
     return position, slice_ptr, idx, data
+
+
+def screen_operator_f32(
+    events: "ArrivalEvents", target: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The float32 screen's operators, built straight from arrival events.
+
+    ``events`` is a model's memoised event stage
+    (``CompactModel._arrival_events``).  Returns the transposed CSR
+    pieces ``(indptr, indices, full, excluded)`` of the full and the
+    ``target``-excluded transition matrices on one shared pattern, in
+    the dtypes :func:`pair_chain_f32` takes (int32, uint16, float32,
+    float32): the pattern is exactly the exact matrix's, and each value
+    is its float64 sum rounded to float32 (summed in emission order, so
+    within one float32 ulp of the exact matrix's entry).  The pieces
+    are read-only.
+    """
+    library = _load()
+    if library is None:
+        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    n_states, n_rules = events.hazard.shape
+    if n_states > MAX_STATES:
+        raise ValueError(
+            f"state space too large for uint16 indices: {n_states}"
+        )
+    # An event emits its keep-all branch plus one per live rule: sized
+    # by the events, the outputs hold every (row, column) run.
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(n_rules):
+        popcount = np.concatenate([popcount, popcount + 1])
+    cap = len(events.rows) + int(popcount[events.live].sum())
+    indptr = np.empty(n_states + 1, dtype=np.int32)
+    indices = np.empty(cap, dtype=np.uint16)
+    full = np.empty(cap, dtype=np.float32)
+    excluded = np.empty(cap, dtype=np.float32)
+    i64 = ctypes.c_int64
+    n_runs = library.repro_screen_operator(
+        i64(n_states), i64(n_rules), i64(len(events.rows)), i64(cap),
+        *(
+            _as_ptr(np.ascontiguousarray(column, dtype=np.int64), i64)
+            for column in (events.rows, events.interim, events.live)
+        ),
+        _as_ptr(np.ascontiguousarray(events.base), ctypes.c_double),
+        _as_ptr(np.ascontiguousarray(events.tag, dtype=np.int64), i64),
+        i64(int(target)),
+        _as_ptr(np.ascontiguousarray(events.hazard), ctypes.c_double),
+        _as_ptr(np.ascontiguousarray(events.lookup, dtype=np.int64), i64),
+        _as_ptr(indptr, ctypes.c_int32),
+        _as_ptr(indices, ctypes.c_uint16),
+        _as_ptr(full, ctypes.c_float),
+        _as_ptr(excluded, ctypes.c_float),
+    )
+    if n_runs < 0:
+        raise MemoryError(
+            "native operator build failed: scratch allocation or run bound"
+        )
+    pieces = (indptr, indices[:n_runs], full[:n_runs], excluded[:n_runs])
+    for piece in pieces:
+        piece.setflags(write=False)
+    if sanitize.is_active():
+        sanitize.guard_array("cnative.operator.full", pieces[2])
+        sanitize.guard_array("cnative.operator.excluded", pieces[3])
+    return pieces
 
 
 def pair_chain_f32(

@@ -34,7 +34,15 @@ exactly one flow's entries.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 from scipy import sparse
@@ -56,6 +64,9 @@ from repro.core.recency import (
 from repro.flows.policy import Policy
 from repro.flows.universe import FlowUniverse
 from repro.obs import sanitize
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.transition_build import ArrivalEvents
 
 #: Flow tag used for the no-arrival event in transition entries.
 NO_FLOW = -1
@@ -120,6 +131,7 @@ class CompactModel:
         }
         self.n_states = len(self.states)
 
+        self._events: Optional["ArrivalEvents"] = None
         self._entries: Optional[
             Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -422,6 +434,29 @@ class CompactModel:
             np.asarray(tags, dtype=np.int64),
         )
 
+    def _arrival_events(self) -> "ArrivalEvents":
+        """The vectorised builder's arrival-event stage, memoised.
+
+        Shared by the exact expansion (``transition_build.build_entries``)
+        and the float32 screen's native operator builder, so a model the
+        screen passed to the exact path builds its events once; the
+        memo is released once the exact entries exist.  The columns are
+        aliased to every caller: read-only (runtime complement of
+        MUT001).  Only for models the vectorised builder supports
+        (``transition_build.supports``).
+        """
+        if self._events is None:
+            from repro.core import transition_build
+
+            events = transition_build.build_events(self)
+            for array in events:
+                array.setflags(write=False)
+            self._events = events
+        if sanitize.is_active():
+            sanitize.guard_array("model.events.base", self._events.base)
+            sanitize.guard_array("model.events.hazard", self._events.hazard)
+        return self._events
+
     def _ensure_entries(
         self,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -431,6 +466,10 @@ class CompactModel:
 
                 if transition_build.supports(self):
                     self._entries = transition_build.build_entries(self)
+                    # The entries supersede the events, which only the
+                    # screen (run before the exact path) also reads:
+                    # do not keep both.
+                    self._events = None
                 else:
                     # Non-default estimator or expiry semantics: only the
                     # reference builder implements them.
@@ -462,9 +501,9 @@ class CompactModel:
             sorted_entries = (
                 rows[order], cols[order], probs[order], tags[order]
             )
-            # Aliased to every caller (transition_matrix, the fast
-            # screen's float32 CSRs, reachability): read-only, like the
-            # kernel CSR buffers (runtime complement of MUT001).
+            # Aliased to every caller (transition_matrix and the exact
+            # screen): read-only, like the kernel CSR buffers (runtime
+            # complement of MUT001).
             for array in sorted_entries:
                 array.setflags(write=False)
             if sanitize.is_active():

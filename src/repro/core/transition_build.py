@@ -16,6 +16,16 @@ per-state Python loops with batched numpy passes:
   loop, then a batched at-most-one-expiry expansion whose multiply and
   add sequences mirror the reference's ascending-rule accumulation.
 
+The build runs in two stages.  :func:`build_events` computes the tables
+and the row-sorted arrival events (:class:`ArrivalEvents`, certain
+expiries applied); the model memoises them
+(``CompactModel._arrival_events``).  :func:`build_entries`, the only
+exact builder, expands those events into the entries.  The float32
+screen feeds the same events to its own native operator builder
+(:func:`repro.core.cnative.screen_operator_f32`) instead, so a
+candidate it rejects never expands or sorts the exact entries, and one
+it passes to the exact path builds its events once.
+
 Bitwise equality is load-bearing: it means switching the default kernel
 cannot shift any persisted experiment number, and the golden suite pins
 both kernels to the same literals.  The differential suite
@@ -32,7 +42,7 @@ otherwise (exact/Monte-Carlo estimators, ``multi_expiry=True``).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +63,32 @@ EntryArrays = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 PmfTable = Tuple[np.ndarray, np.ndarray]
 
 
+class ArrivalEvents(NamedTuple):
+    """The arrival-event stage: one row per (state, arrival outcome).
+
+    Rows are in reference emission order (source state ascending, then
+    the within-row event order), with the certain expiries already
+    applied.  Both operator builders start from these columns: the
+    exact numpy expansion (:func:`build_entries`) and the float32
+    screen's native pass (:func:`repro.core.cnative.screen_operator_f32`).
+    """
+
+    #: Source state of each event (int64, ascending).
+    rows: np.ndarray
+    #: Post-arrival rule mask, certain (hazard-1) expiries cleared.
+    interim: np.ndarray
+    #: Rules that may expire after the event (0 where expiry is off).
+    live: np.ndarray
+    #: Probability of the arrival outcome before the expiry split.
+    base: np.ndarray
+    #: Flow that caused the event (``NO_FLOW`` for no arrival).
+    tag: np.ndarray
+    #: Per-(state, rule) timeout hazards, ``(n_states, n_rules)``.
+    hazard: np.ndarray
+    #: Dense ``mask -> state index`` table (-1 for non-states).
+    lookup: np.ndarray
+
+
 def supports(model: "CompactModel") -> bool:
     """Whether the vectorised builder reproduces this model's semantics."""
     return (
@@ -63,7 +99,25 @@ def supports(model: "CompactModel") -> bool:
 
 
 def build_entries(model: "CompactModel") -> EntryArrays:
-    """All transition entries as (rows, cols, probs, flow tags)."""
+    """All transition entries as (rows, cols, probs, flow tags).
+
+    Expands the model's memoised arrival events
+    (``CompactModel._arrival_events``), so a model whose events the
+    fast screen already built pays only the expansion here.
+    """
+    if not supports(model):  # pragma: no cover - guarded by the caller
+        raise ValueError("model configuration requires the reference builder")
+    return _expand_expiries(model._arrival_events())
+
+
+def build_events(model: "CompactModel") -> ArrivalEvents:
+    """The arrival-event stage of the build (not memoised here).
+
+    Computes the hazard and eviction tables, seeds the estimator's
+    eviction memo as a side effect, and applies each event's certain
+    expiries; what is left per event is the at-most-one-expiry split
+    over its ``live`` rules.
+    """
     if not supports(model):  # pragma: no cover - guarded by the caller
         raise ValueError("model configuration requires the reference builder")
     ctx = model.context
@@ -89,11 +143,21 @@ def build_entries(model: "CompactModel") -> EntryArrays:
     )
     _seed_estimator_cache(model, hazard, full_idx, evict_rules, evict_probs)
 
-    events = _arrival_events(model, membership, full_idx, evict_rules,
-                             evict_probs)
-    return _expand_expiries(
-        model, events, hazard, certain_mask, candidate_mask, bits, lookup
+    rows, interim, protected, base, tag, expiry = _arrival_events(
+        model, membership, full_idx, evict_rules, evict_probs
+    ).sorted_columns()
+    # Rules with hazard 1 expire for certain (unless protected by this
+    # step's match or install); the rest of the cached, unprotected
+    # rules are the candidates of the at-most-one-expiry split.
+    protected_bit = np.where(
+        protected >= 0, bits[np.maximum(protected, 0)], np.int64(0)
     )
+    cleared = interim & ~(certain_mask[rows] & ~protected_bit)
+    interim = np.where(expiry, cleared, interim)
+    live = np.where(
+        expiry, interim & candidate_mask[rows] & ~protected_bit, np.int64(0)
+    )
+    return ArrivalEvents(rows, interim, live, base, tag, hazard, lookup)
 
 
 # ----------------------------------------------------------------------
@@ -414,15 +478,7 @@ def _arrival_events(
 # ----------------------------------------------------------------------
 # Batched at-most-one-expiry expansion
 # ----------------------------------------------------------------------
-def _expand_expiries(
-    model: "CompactModel",
-    events: _Events,
-    hazard: np.ndarray,
-    certain_mask: np.ndarray,
-    candidate_mask: np.ndarray,
-    bits: np.ndarray,
-    lookup: np.ndarray,
-) -> EntryArrays:
+def _expand_expiries(events: ArrivalEvents) -> EntryArrays:
     """Expand events into entries, mirroring ``_expiry_branches_from``.
 
     Entry layout per event: the keep-all branch, then one expiry branch
@@ -432,17 +488,10 @@ def _expand_expiries(
     exact-identity factors for non-live rules, so every float matches
     the reference's sequential loops bit-for-bit.
     """
-    n_rules = model.context.n_rules
-    rows, interim, protected, base, tag, expiry = events.sorted_columns()
+    rows, interim, live, base, tag, hazard, lookup = events
     count = rows.size
-    protected_bit = np.where(
-        protected >= 0, bits[np.maximum(protected, 0)], np.int64(0)
-    )
-    cleared = interim & ~(certain_mask[rows] & ~protected_bit)
-    interim = np.where(expiry, cleared, interim)
-    live = np.where(
-        expiry, interim & candidate_mask[rows] & ~protected_bit, np.int64(0)
-    )
+    n_rules = hazard.shape[1]
+    bits = np.int64(1) << np.arange(n_rules, dtype=np.int64)
     live_bits = (live[:, None] & bits[None, :]) != 0  # (E, R)
 
     # The recurrences below depend only on (source row, live mask):

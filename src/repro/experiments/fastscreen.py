@@ -7,8 +7,12 @@ a full harness build just to learn that the paper's viability screen
 (or the optimal-probe-differs restriction) says no.
 
 This module decides most of those rejections from a float32 replica of
-the screen computed with the native fused pair-chain kernel
-(:mod:`repro.core.cnative`), certified by conservative error bounds:
+the screen computed with the native kernels (:mod:`repro.core.cnative`),
+certified by conservative error bounds.  The replica's operators are
+built natively from the model's memoised arrival events (the first
+stage of the vectorised transition build) on the exact matrix's
+pattern, and powered by the fused pair-chain kernel; the exact
+transition entries are built only when a candidate falls back:
 
 * the float32 information gains, outcome probabilities, and posteriors
   are computed exactly as the engine computes them (same coverage
@@ -44,7 +48,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core import cnative
+from repro.core import cnative, transition_build
 from repro.core.compact_model import CompactModel
 from repro.core.engine import gains_from_tables
 from repro.core.inference import PRUNE
@@ -52,7 +56,7 @@ from repro.core.kernels import resolve_kernel
 from repro.core.simpath import resolve_simpath
 from repro.experiments.params import ExperimentParams
 from repro.flows.config import NetworkConfiguration
-from repro.obs import get_instrumentation, sanitize
+from repro.obs import get_instrumentation
 
 #: Bound on ``|float32 - exact|`` for any of the screen's probability
 #: sums (outcome probabilities, joints, priors).  Worst observed on the
@@ -107,6 +111,8 @@ class FastScreenOutcome:
 class FastQuantities:
     """Float32 replicas of every quantity the paper screen consults."""
 
+    #: The screen operator's transposed pattern ``(indptr, indices)``.
+    pattern: Tuple[np.ndarray, np.ndarray]
     gains: np.ndarray
     p_hit: np.ndarray
     p_miss: np.ndarray
@@ -114,84 +120,43 @@ class FastQuantities:
     posterior_present_given_hit: np.ndarray
 
 
-def reachable_states(model: CompactModel) -> np.ndarray:
-    """Boolean mask of states reachable from the initial distribution.
+def reachable_states(
+    indptr: np.ndarray, indices: np.ndarray, start: np.ndarray
+) -> np.ndarray:
+    """Boolean mask of states reachable from the ``start`` distribution.
 
-    Fixpoint of one-step successor expansion over the positive-entry
-    transition graph -- an over-approximation of the support of the
-    chain's distribution at *any* horizon.  Pure index arithmetic: a
-    state outside this set has exactly zero probability at every step,
-    which is what lets the screen certify ``p_hit == 0`` (and hence a
-    failed viability screen) without trusting float32 rounding.
+    Fixpoint of one-step successor expansion over the transition graph,
+    given as the screen's transposed pattern (``indptr`` over successor
+    columns, ``indices`` the source rows) -- the exact matrix's
+    positive-entry pattern -- and an over-approximation of the support
+    of the chain's distribution at *any* horizon.  Pure index
+    arithmetic: a state outside this set has exactly zero probability
+    at every step, which is what lets the screen certify ``p_hit == 0``
+    (and hence a failed viability screen) without trusting float32
+    rounding.
     """
-    rows, cols, _, _ = model._sorted_entries()
-    reach = model.initial_distribution() > 0.0
+    successors = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    reach = start > 0.0
     while True:
-        successors = cols[reach[rows]]
         before = int(reach.sum())
-        reach[successors] = True
+        reach[successors[reach[indices]]] = True
         if int(reach.sum()) == before:
             return reach
-
-
-def _shared_pattern_f32(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    probs: np.ndarray,
-    tags: np.ndarray,
-    target: int,
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Transposed CSR pieces of the full and target-excluded matrices.
-
-    Both matrices share one pattern: consecutive duplicate (row, col)
-    runs are summed left to right (as ``CompactModel._assemble_csr``
-    does) once for the full probabilities and once with the target's
-    entries zeroed, on the same run boundaries.  The excluded pattern is
-    a subset of the full one and an explicit zero adds exactly 0, so
-    the kernel powers the excluded matrix over the full pattern.
-    Returns ``(indptr, indices, full, excluded)`` in kernel dtypes.
-    """
-    boundary = np.empty(len(rows), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(boundary)
-    full = np.add.reduceat(probs, starts)
-    excluded = np.add.reduceat(np.where(tags != target, probs, 0.0), starts)
-    # Transpose: a stable sort of the runs by column keeps each
-    # column's rows ascending.
-    run_cols = cols[starts].astype(np.uint16)
-    order = np.argsort(run_cols, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(
-        np.bincount(run_cols, minlength=n), out=indptr[1:], dtype=np.int32
-    )
-    pieces = (
-        indptr,
-        rows[starts[order]].astype(np.uint16),
-        full[order].astype(np.float32),
-        excluded[order].astype(np.float32),
-    )
-    if sanitize.is_active():
-        for piece in pieces:
-            piece.setflags(write=False)
-        sanitize.guard_array("fastscreen.shared.full", pieces[2])
-        sanitize.guard_array("fastscreen.shared.excluded", pieces[3])
-    return pieces
 
 
 def fast_quantities(
     model: CompactModel, target: int, window_steps: int
 ) -> Optional[FastQuantities]:
     """The float32 screen quantities, or ``None`` when not computable."""
-    if model.n_states > cnative.MAX_STATES:
+    if model.n_states > cnative.MAX_STATES or not transition_build.supports(
+        model
+    ):
         return None
-    rows, cols, probs, tags = model._sorted_entries()
-    if len(rows) == 0:
-        return None
-    indptr, indices, full, excluded = _shared_pattern_f32(
-        rows, cols, probs, tags, target, model.n_states
+    indptr, indices, full, excluded = cnative.screen_operator_f32(
+        model._arrival_events(), target
     )
+    if len(indices) == 0:
+        return None
     x0 = model.initial_distribution().astype(np.float32)
     dist_full32, dist_absent32 = cnative.pair_chain_f32(
         indptr, indices, full, indptr, indices, excluded, x0, window_steps
@@ -220,6 +185,7 @@ def fast_quantities(
     post_miss = np.where(miss_full > 0.0, post_miss, 0.5)
     post_hit = np.where(hit_full > 0.0, post_hit, 0.5)
     return FastQuantities(
+        pattern=(indptr, indices),
         gains=gains,
         p_hit=hit_full,
         p_miss=miss_full,
@@ -250,7 +216,9 @@ class _Certifier:
     def _covered_unreachable(self, flow: int, complement: bool) -> bool:
         """Whether the flow's (un)covered states carry provably no mass."""
         if self._reach is None:
-            self._reach = reachable_states(self.model)
+            self._reach = reachable_states(
+                *self.quantities.pattern, self.model.initial_distribution()
+            )
         if self._coverage is None:
             n_flows = self.model.context.n_flows
             self._coverage = self.model.coverage_matrix(

@@ -1,14 +1,14 @@
 """MUT001 -- cached model/inference arrays are read-only.
 
 The probe-scoring engine's speed comes from aliasing: ``evolution()``,
-``prefix_distribution()``, ``coverage_vector()``, ``probe_matrix()``
-and the model's memoised transition-entry accessors
-(``_ensure_entries()`` / ``_sorted_entries()``, which the fast screen
-reads directly) return the cached object itself, and ``dist_full`` /
+``prefix_distribution()``, ``coverage_vector()``, ``probe_matrix()``,
+the model's memoised transition-entry accessors (``_ensure_entries()``
+/ ``_sorted_entries()``) and its memoised arrival events
+(``_arrival_events()``, which the fast screen's operator builder reads
+directly) return the cached object itself, and ``dist_full`` /
 ``dist_absent`` *are* cache entries.  Writing through any of those
-references corrupts
-every later score drawn from the same cache -- silently, because the
-numbers stay plausible.  (The runtime complement: the caches return
+references corrupts every later score drawn from the same cache --
+silently, because the numbers stay plausible.  (The runtime complement: the caches return
 arrays with ``writeable=False``, so an uncaught mutation raises.)
 
 The rule runs a per-function taint pass: names bound to an accessor's
@@ -39,6 +39,7 @@ from repro.lint.findings import Finding
 #: Methods returning cached (aliased) arrays/matrices.
 CACHE_ACCESSOR_METHODS: FrozenSet[str] = frozenset(
     {
+        "_arrival_events",
         "_ensure_entries",
         "_sorted_entries",
         "coverage_vector",
@@ -203,7 +204,8 @@ class CachedArrayMutationRule(LintRule):
     summary: ClassVar[str] = (
         "arrays returned by cache accessors "
         "(prefix_distribution/evolution/coverage_vector/probe_matrix, "
-        "_ensure_entries/_sorted_entries, dist_full/dist_absent) "
+        "_arrival_events/_ensure_entries/_sorted_entries, "
+        "dist_full/dist_absent) "
         "must not be mutated"
     )
 

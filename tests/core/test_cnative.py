@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.core import cnative
+from repro.core.compact_model import CompactModel
+from repro.flows.flowid import FlowId
+from repro.flows.policy import ModelRule, Policy
+from repro.flows.universe import FlowUniverse
 
 
 @pytest.fixture
@@ -232,3 +238,119 @@ class TestSteps:
                 assert want.tobytes() == other.tobytes()
         for array, copy in zip(inputs, before):
             np.testing.assert_array_equal(array, copy)
+
+
+#: Flows of the operator-builder models; the last is never covered.
+N_FLOWS = 5
+
+
+@st.composite
+def operator_models(draw):
+    """A tiny compact model and a target flow for the operator builder.
+
+    Covers hard-timeout and timeout-1 rules (hazard 1: the certain
+    expiries), an always-uncovered flow, zero-rate flows, capacity 1
+    and capacities below the rule count (full states that evict), and
+    flows covered by several rules.
+    """
+    n_rules = draw(st.integers(1, 4))
+    rules = [
+        ModelRule(
+            index=rank,
+            name=f"r{rank}",
+            flows=frozenset(draw(st.sets(
+                st.integers(0, N_FLOWS - 2), min_size=1, max_size=N_FLOWS - 1
+            ))),
+            timeout_steps=draw(st.integers(1, 5)),
+            priority=100 - rank,
+            hard=draw(st.booleans()),
+        )
+        for rank in range(n_rules)
+    ]
+    rates = tuple(
+        draw(st.one_of(st.just(0.0), st.floats(0.05, 1.5)))
+        for _ in range(N_FLOWS)
+    )
+    universe = FlowUniverse(
+        tuple(FlowId(src=i, dst=99) for i in range(N_FLOWS)), rates
+    )
+    cache_size = draw(st.integers(1, n_rules))
+    model = CompactModel(
+        Policy(rules), universe, 0.25, cache_size, kernel="sparse"
+    )
+    return model, draw(st.integers(0, N_FLOWS - 1))
+
+
+def _ulps(got: np.ndarray, want: np.ndarray) -> int:
+    """Largest distance in float32 ulps (both arrays non-negative)."""
+    if len(got) == 0:
+        return 0
+    return int(np.abs(
+        got.view(np.int32).astype(np.int64)
+        - want.view(np.int32).astype(np.int64)
+    ).max())
+
+
+def _assert_operator_matches(model: CompactModel, target: int, ulps: int):
+    """The native operator against the exact matrices, transposed."""
+    indptr, indices, full, excluded = cnative.screen_operator_f32(
+        model._arrival_events(), target
+    )
+    exact = model.transition_matrix().T.tocsr()
+    exact.sort_indices()
+    np.testing.assert_array_equal(indptr, exact.indptr)
+    np.testing.assert_array_equal(indices, exact.indices)
+    assert _ulps(full, exact.data.astype(np.float32)) <= ulps
+    # The excluded operator sits on the full pattern, zeros included.
+    n = model.n_states
+    ours = sparse.csr_matrix((excluded, indices, indptr), shape=(n, n))
+    want = model.transition_matrix([target]).T.toarray().astype(np.float32)
+    assert _ulps(ours.toarray().ravel(), want.ravel()) <= ulps
+    for piece in (indptr, indices, full, excluded):
+        assert not piece.flags.writeable
+
+
+class TestScreenOperator:
+    """The events-fed operator builder against the exact matrices."""
+
+    @pytest.fixture(autouse=True)
+    def _require_kernel(self, monkeypatch, reset_kernel):
+        monkeypatch.delenv(cnative.DISABLE_ENV_VAR, raising=False)
+        if not cnative.available():
+            pytest.skip(f"native kernel unavailable: {cnative.load_error()}")
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=operator_models())
+    def test_pattern_equal_and_values_within_one_ulp(self, case):
+        model, target = case
+        _assert_operator_matches(model, target, ulps=1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=operator_models())
+    def test_target_without_entries_excludes_nothing(self, case):
+        # A zero-rate flow never arrives, so it tags no entry.
+        model, _ = case
+        silent = [
+            flow for flow in range(N_FLOWS)
+            if model.context.universe.rates[flow] == 0.0
+        ]
+        if not silent:
+            return
+        _, _, full, excluded = cnative.screen_operator_f32(
+            model._arrival_events(), silent[0]
+        )
+        assert full.tobytes() == excluded.tobytes()
+
+    def test_bit_equal_on_the_seed_2017_stream(self):
+        from repro.apispec import JobSpec
+        from repro.flows.config import ConfigGenerator
+
+        params = JobSpec(experiment="fig6", seed=2017).to_params()
+        generator = ConfigGenerator(params.config, seed=2017)
+        for _ in range(3):
+            config = generator.sample()
+            model = CompactModel(
+                config.policy, config.universe, config.delta,
+                config.cache_size, kernel="sparse",
+            )
+            _assert_operator_matches(model, config.target_flow, ulps=0)

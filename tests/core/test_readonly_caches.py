@@ -116,6 +116,14 @@ class TestFrozenModelCaches:
             len(model.state_rules(i)) for i in range(model.n_states)
         ]
 
+    def test_arrival_events_are_readonly_and_cached(self, model):
+        events = model._arrival_events()
+        for column in events:
+            assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            events.base[0] = 0.0
+        assert model._arrival_events() is events
+
     def test_vectorised_marginals_match_loop(self, model):
         rng = np.random.default_rng(3)
         distribution = rng.random(model.n_states)

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import cnative
+from repro.core import cnative, transition_build
 from repro.core.compact_model import CompactModel
 from repro.core.simpath import simpath_override
 from repro.experiments import fastscreen
@@ -25,6 +25,7 @@ from repro.experiments.harness import ConfigHarness
 from repro.flows.config import ConfigGenerator
 from repro.obs import Instrumentation, use_instrumentation
 
+from tests.conftest import make_policy, make_universe
 from tests.experiments.conftest import tiny_experiment_params
 
 pytestmark = pytest.mark.skipif(
@@ -123,6 +124,64 @@ class TestSoundness:
             for key in ("rejects", "fallbacks", "unsupported")
         )
         assert decided == 20
+
+
+class TestOperatorSource:
+    def test_certified_rejects_skip_the_exact_entries(self, monkeypatch):
+        # The screen's operator comes from the arrival events; only a
+        # fallback may expand or sort the exact transition entries.
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            transition_build, "build_entries",
+            counted("build_entries", transition_build.build_entries),
+        )
+        monkeypatch.setattr(
+            CompactModel, "_sorted_entries",
+            counted("_sorted_entries", CompactModel._sorted_entries),
+        )
+        params = tiny_experiment_params()
+        certified = 0
+        for config in sample_candidates(params, 15):
+            outcome = fastscreen.screen_candidate(
+                params, config, require_optimal_differs=True
+            )
+            if outcome.certified_reject:
+                certified += 1
+                assert calls == []
+            calls.clear()
+        assert certified > 0
+
+
+    def test_reachability_on_the_screen_pattern_matches_the_exact_graph(
+        self,
+    ):
+        # Flow 2 never arrives, so rule 2 is never installed and every
+        # state caching it is unreachable.
+        model = CompactModel(
+            make_policy([({0}, 4), ({0, 1}, 3), ({2}, 5)]),
+            make_universe([0.5, 0.4, 0.0]),
+            0.25,
+            cache_size=2,
+        )
+        fast = fastscreen.fast_quantities(model, 0, 10)
+        start = model.initial_distribution()
+        reach = fastscreen.reachable_states(*fast.pattern, start)
+        edges = model.transition_matrix() > 0.0
+        want = start > 0.0
+        while True:
+            grown = want | (edges.T @ want > 0)
+            if (grown == want).all():
+                break
+            want = grown
+        np.testing.assert_array_equal(reach, want)
+        assert 0 < reach.sum() < model.n_states
 
 
 class TestCalibratedMargins:

@@ -86,8 +86,13 @@ class TestOrderAndIdentity:
             first = set(executor.map(range(8)))
             second = set(executor.map(range(8)))
             assert executor.pooled
-        assert os.getpid() not in first
-        assert second <= first
+        # Which worker serves which item is up to the scheduler (one
+        # worker may take a whole batch), so assert only what reuse
+        # guarantees: no batch ran in the parent, and the two batches
+        # together saw no more than ``jobs`` distinct workers -- a pool
+        # that respawned between batches would show up to four.
+        assert os.getpid() not in first | second
+        assert len(first | second) <= 2
 
 
 class TestFallback:

@@ -40,17 +40,26 @@ perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--trace $(TRACE)
 
-# Benchmark smoke: a short traced fig6-screen pass must exit 0 and end
-# on a JSON line with "correct": true -- every name the per-layer
-# ledger wraps still resolves, and the seed-2017 output checks (result
-# digests, counter cross-checks) hold.  About a minute of wall clock.
+# Benchmark smoke: short traced fig6-screen and service-recon passes
+# must exit 0 and end on a JSON line with "correct": true -- every name
+# the per-layer ledger wraps still resolves, and the seed-2017 output
+# checks (result digests, counter cross-checks) hold.  The
+# service-recon digest pins the service's session rows on the exact
+# chain.  A few minutes of wall clock.
+SMOKE_WORKLOADS = fig6-screen service-recon
+
 perfbench-smoke:
-	python3 perfbench/run.py --workload fig6-screen --seed 2017 \
-		--seconds 10 --trace 1 > /tmp/repro-perfbench-smoke.txt
-	@tail -n 1 /tmp/repro-perfbench-smoke.txt | $(PYTHON) -c "import json, sys; \
-		doc = json.loads(sys.stdin.read()); \
-		assert doc.get('correct') is True, 'perfbench-smoke: correct is not true'; \
-		print('perfbench-smoke: traced fig6-screen pass correct')"
+	@mkdir -p .perfbench
+	@for workload in $(SMOKE_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$workload --seed 2017 \
+			--seconds 10 --trace 1 > .perfbench/smoke-$$workload.txt \
+			|| exit 1; \
+		tail -n 1 .perfbench/smoke-$$workload.txt | $(PYTHON) -c "import json, sys; \
+			doc = json.loads(sys.stdin.read()); \
+			assert doc.get('correct') is True, 'perfbench-smoke: $$workload: correct is not true'; \
+			print('perfbench-smoke: traced $$workload pass correct')" \
+			|| exit 1; \
+	done
 
 # Where the headline run spends its budget: a reduced-scale headline
 # experiment with the phase profiler attached, printed as a per-phase

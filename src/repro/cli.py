@@ -181,8 +181,8 @@ def add_common_args(
             "--kernel", choices=KERNEL_CHOICES, default="auto",
             help=(
                 "probability kernel: dense reference, sparse vectorised, "
-                "or auto (sparse + compiled matvecs when available); "
-                "all choices compute identical probabilities"
+                "or auto (sparse); all choices compute identical "
+                "probabilities"
             ),
         )
         parser.add_argument(

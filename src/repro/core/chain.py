@@ -12,11 +12,13 @@ the target flow having occurred.
 
 Two pieces of machinery keep repeated powering cheap:
 
-* :class:`TransitionOperator` precomputes ``A^T`` in CSR layout once, so
-  every subsequent step is a single CSR matvec instead of the per-step
-  transpose hidden in ``d @ A`` for sparse ``A``.  The accumulation
-  order matches scipy's ``d @ A`` path element-for-element, so results
-  are bit-identical to the naive loop.
+* :class:`TransitionOperator` powers ``A^T`` without copying ``A``: a
+  whole 1-D power is one call into the native float64 kernel
+  (:mod:`repro.core.cnative`) over a sliced layout built once per
+  operator, and scipy's matvec over a zero-copy transposed view runs
+  where the kernel is unavailable.  Both add each output element's
+  products in ascending source order, the order of scipy's ``d @ A``
+  path, so results are bit-identical to the naive loop.
 * :class:`PowerChain` memoises ``A^T^k I_0`` at every requested ``k``,
   so adjacent window lengths ``T' > T`` pay ``T' - T`` matvecs instead
   of a full re-powering (the fig6/fig7 window sweeps and the window
@@ -32,16 +34,17 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 from scipy import sparse
 
+from repro.core import cnative
 from repro.obs import counter_inc
 
 MatrixLike = Union[np.ndarray, sparse.spmatrix]
 
-try:  # scipy's raw CSR matvec: skips per-call wrapper/validation overhead
+try:  # scipy's raw CSC matvec: skips per-call wrapper/validation overhead
     from scipy.sparse import _sparsetools
 
-    _csr_matvec = _sparsetools.csr_matvec
+    _csc_matvec = _sparsetools.csc_matvec
 except (ImportError, AttributeError):  # pragma: no cover - older scipy
-    _csr_matvec = None
+    _csc_matvec = None
 
 
 def _as_dense(distribution: Union[np.ndarray, sparse.spmatrix]) -> np.ndarray:
@@ -61,30 +64,33 @@ def _as_dense(distribution: Union[np.ndarray, sparse.spmatrix]) -> np.ndarray:
 class TransitionOperator:
     """Repeated application of ``d -> d @ A`` with the transpose hoisted.
 
-    For sparse ``A`` the operator stores ``A^T`` in CSR layout once;
-    each step is then one CSR matvec (compiled via numba when
-    ``compiled=True`` and the ``fast`` extra is installed -- the jit
-    kernel mirrors scipy's row-sequential accumulation, so both paths
-    agree bit-for-bit).  Dense matrices keep the plain ``@`` loop.
+    For sparse ``A`` the operator holds one copy of the matrix: ``A``'s
+    CSR buffers, seen as ``A^T`` through a zero-copy CSC view.  1-D
+    powering runs the native float64 kernel
+    (:func:`repro.core.cnative.power_f64`) on a sliced layout of
+    ``A^T`` built on the first 1-D call; every step adds each output
+    element's products in ascending source order, as scipy's matvec on
+    ``A^T`` does, so the result is bit-identical to the scipy loop that
+    runs where the kernel is unavailable (``REPRO_NO_CKERNEL=1``, no
+    ``gcc``, or more than ``cnative.MAX_STATES`` states).  Row stacks
+    multiply through the view.  Dense matrices keep the plain ``@``
+    loop.
     """
 
     # The operator re-lays-out a matrix its caller already routed
     # through validate_stochastic; re-validating the transpose here
     # would reject legitimately substochastic inputs.
-    def __init__(self, matrix: MatrixLike, compiled: bool = False) -> None:  # repro: noqa[STO001]
-        from repro.core._fastmath import HAVE_NUMBA
-
+    def __init__(self, matrix: MatrixLike) -> None:  # repro: noqa[STO001]
+        self._dense: Optional[np.ndarray] = None
+        self._csr_t: Optional[sparse.csc_matrix] = None
+        #: The native layout, built on the first 1-D power (``False``
+        #: once the kernel turned out unavailable).
+        self._layout: Union[None, bool, cnative.ChainLayout] = None
         if sparse.issparse(matrix):
-            self._dense: Optional[np.ndarray] = None
-            transposed = sparse.csr_matrix(matrix.T)
-            transposed.data.setflags(write=False)
-            transposed.indices.setflags(write=False)
-            transposed.indptr.setflags(write=False)
-            self._csr_t: Optional[sparse.csr_matrix] = transposed
+            csr = matrix if matrix.format == "csr" else matrix.tocsr()
+            self._csr_t = csr.T  # CSC over csr's own buffers
         else:
             self._dense = np.asarray(matrix, dtype=np.float64)
-            self._csr_t = None
-        self.compiled = bool(compiled) and HAVE_NUMBA and self._csr_t is not None
         self.shape: Tuple[int, int] = tuple(matrix.shape)  # type: ignore[assignment]
 
     @property
@@ -92,14 +98,27 @@ class TransitionOperator:
         """Whether the operator wraps a sparse matrix."""
         return self._csr_t is not None
 
+    def _native_layout(self) -> Optional[cnative.ChainLayout]:
+        """The kernel's layout of ``A^T``, or ``None`` without the kernel."""
+        if self._layout is None:
+            transposed = self._csr_t
+            if cnative.available() and self.shape[0] <= cnative.MAX_STATES:
+                self._layout = cnative.chain_layout_f64(
+                    transposed.indptr, transposed.indices, transposed.data
+                )
+            else:
+                self._layout = False
+        return self._layout or None
+
     def power(self, distribution: np.ndarray, steps: int) -> np.ndarray:
         """``distribution @ A^steps`` for a 1-D vector or 2-D row stack."""
         if steps < 0:
             raise ValueError("steps must be non-negative")
-        current = _as_dense(distribution).copy()
+        current = _as_dense(distribution)
         if steps == 0:
-            return current
-        if self._csr_t is None:
+            return current.copy()
+        transposed = self._csr_t
+        if transposed is None:
             matrix = self._dense
             stacked = current.ndim > 1
             for _ in range(steps):
@@ -107,44 +126,49 @@ class TransitionOperator:
                 if not stacked:
                     current = current.ravel()
             return current
-        transposed = self._csr_t
         if current.ndim == 1:
             counter_inc("kernel.sparse.matvecs", steps)
-            if self.compiled:
-                from repro.core._fastmath import csr_power
-
-                return csr_power(
-                    transposed.indptr,
-                    transposed.indices,
-                    transposed.data,
-                    current,
-                    steps,
-                )
-            n_rows = transposed.shape[0]
-            if _csr_matvec is not None:
-                n_cols = transposed.shape[1]
-                indptr = transposed.indptr
-                indices = transposed.indices
-                data = transposed.data
-                scratch = np.zeros(n_rows, dtype=np.float64)
-                fill = scratch.fill
-                current_fill = current.fill
-                for _ in range(steps):
-                    fill(0.0)
-                    _csr_matvec(
-                        n_rows, n_cols, indptr, indices, data, current, scratch
-                    )
-                    current, scratch = scratch, current
-                    fill, current_fill = current_fill, fill
-                return current
-            for _ in range(steps):
-                current = transposed @ current
-            return current
-        # Row stack: (k, n) @ A == (A^T @ (k, n)^T)^T, all rows per step.
+            layout = self._native_layout()
+            if layout is not None:
+                return cnative.power_f64(layout, current, steps)
+            return _power_scipy(transposed, current.copy(), steps)
+        # Row stack: (k, n) @ A == (A^T @ (k, n)^T)^T, all rows per step;
+        # scipy's csc_matvecs adds per output element in ascending
+        # source order, as the matvec loops do.
         counter_inc("kernel.sparse.matvecs", steps * current.shape[0])
         for _ in range(steps):
             current = np.ascontiguousarray((transposed @ current.T).T)
         return current
+
+
+def _power_scipy(
+    transposed: sparse.csc_matrix, current: np.ndarray, steps: int
+) -> np.ndarray:
+    """``steps`` scipy matvecs ``current <- A^T current`` (``current``
+    is overwritten: it is one of the two ping-pong buffers).
+
+    ``transposed`` is the CSC view of ``A^T`` (``A``'s CSR buffers):
+    scipy's ``csc_matvec`` walks ``A``'s rows in order, so each output
+    element adds its products in ascending source order -- the order
+    of ``csr_matvec`` on ``csr_matrix(A.T)``.
+    """
+    if _csc_matvec is None:  # pragma: no cover - older scipy
+        for _ in range(steps):
+            current = transposed @ current
+        return current
+    n_rows, n_cols = transposed.shape
+    indptr = transposed.indptr
+    indices = transposed.indices
+    data = transposed.data
+    scratch = np.zeros(n_rows, dtype=np.float64)
+    fill = scratch.fill
+    current_fill = current.fill
+    for _ in range(steps):
+        fill(0.0)
+        _csc_matvec(n_rows, n_cols, indptr, indices, data, current, scratch)
+        current, scratch = scratch, current
+        fill, current_fill = current_fill, fill
+    return current
 
 
 class PowerChain:
@@ -255,8 +279,8 @@ def stationary_distribution(
     Suitable for the irreducible, aperiodic chains produced by the models
     (every state reaches the empty cache through timeouts, and the empty
     cache has a self-loop through the no-arrival event).  Sparse
-    matrices iterate through the cached-transpose operator, so the
-    per-iteration cost is one CSR matvec.
+    matrices iterate through one :class:`TransitionOperator`, so the
+    per-iteration cost is one matvec.
     """
     size = matrix.shape[0]
     current = (

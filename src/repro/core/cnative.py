@@ -1,4 +1,14 @@
-"""Optional native (C) kernels for the float32 screening pre-pass.
+"""Native (C) kernels: the exact float64 chain and the float32 screen.
+
+The exact chain (:func:`power_f64`) powers ``x <- A^T x`` for
+:class:`repro.core.chain.TransitionOperator`: a whole ``steps``-long
+power in one call, over a sliced-ELLPACK layout of ``A^T``
+(:func:`chain_layout_f64`, built from ``A``'s own CSR buffers by a
+stable counting sort by column).  Each SIMD lane is one output row and
+adds ``data * x`` with a separate multiply and add, in ascending source
+order -- the order of scipy's ``csr_matvec`` on ``A^T`` -- so the
+result is bit-identical to the scipy loop the operator runs where this
+module is unavailable.
 
 The fast-path candidate screen (:mod:`repro.experiments.fastscreen`)
 spends most of its time powering two transition chains per candidate
@@ -34,12 +44,13 @@ screen never materialises, sorts or reduces the exact COO entries
 (~300k per fig6 candidate); only candidates that fall back to the
 exact path build them.
 
-The kernel is *approximate by construction* (float32); it is only ever
+The float32 kernel is *approximate by construction*; it is only ever
 used behind the certified screen, which falls back to the exact float64
 path whenever the float32 error bounds cannot certify a verdict.  When
 ``gcc`` (or a writable cache directory) is unavailable the module
-degrades to ``available() == False`` and the screen runs exact-only --
-behaviour stays correct, only slower.
+degrades to ``available() == False``: the screen runs exact-only and
+the exact chain runs scipy's loop -- behaviour stays correct and the
+numbers identical, only slower.
 
 Shared objects are cached under :func:`cache_dir`, named by a digest of
 the C source together with the compile command, so the one-time compile
@@ -54,7 +65,7 @@ import os
 import subprocess
 import tempfile
 import threading
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,16 +77,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Environment override for the shared-object cache directory.
 CACHE_ENV_VAR = "REPRO_CKERNEL_CACHE"
 
-#: Environment kill switch: set to "1" to refuse the native kernel even
-#: when it would compile (forces the exact screening path; used by the
-#: differential tests to exercise the fallback).
+#: Environment kill switch: set to "1" to refuse the native kernels even
+#: when they would compile (forces the exact screening path and the
+#: scipy chain loop; used by the differential tests and a CI leg to
+#: exercise the fallbacks).
 DISABLE_ENV_VAR = "REPRO_NO_CKERNEL"
 
 #: uint16 column indices bound the state-space size the kernel accepts.
 MAX_STATES = 65536
 
-#: Rows per slice of the kernel layout: two 8-row halves, one AVX-512
-#: gather+FMA each per column.  The C steps are written for 16.
+#: Rows per slice of the kernel layouts: two 8-row halves, one AVX-512
+#: gather each per column.  The C steps are written for 16.
 SLICE_ROWS = 16
 
 _SOURCE = r"""
@@ -136,6 +148,51 @@ static void step_avx512(int64_t n_slices, const int64_t *slice_ptr,
         }
         _mm512_storeu_ps(y + 32 * s, acc0);
         _mm512_storeu_ps(y + 32 * s + 16, acc1);
+    }
+}
+
+/* The exact float64 chain, one step of y = M x over its own sliced
+   layout: the same 16-row slices of two 8-row halves, one value per
+   slot.  Each lane is one output row and adds data*x with a separate
+   multiply and add (no FMA: -ffp-contract=off) in the row's column
+   order, which is the order of scipy's csr_matvec, so every step is
+   bit-identical to it.  Padding slots add +0.0. */
+static void step_scalar_f64(int64_t n_slices, const int64_t *slice_ptr,
+                            const uint16_t *idx, const double *data,
+                            const double *x, double *y) {
+    for (int64_t s = 0; s < n_slices; s++) {
+        for (int h = 0; h < 16; h += 8) {
+            double acc[8] = {0.0};
+            for (int64_t e = slice_ptr[s] + h; e < slice_ptr[s + 1];
+                 e += 16)
+                for (int r = 0; r < 8; r++)
+                    acc[r] += data[e + r] * x[idx[e + r]];
+            memcpy(y + 16 * s + h, acc, sizeof acc);
+        }
+    }
+}
+
+/* AVX-512: per half, one 8-lane gather, one multiply, one add. */
+__attribute__((target("avx512f")))
+static void step_avx512_f64(int64_t n_slices, const int64_t *slice_ptr,
+                            const uint16_t *idx, const double *data,
+                            const double *x, double *y) {
+    for (int64_t s = 0; s < n_slices; s++) {
+        __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
+        for (int64_t e = slice_ptr[s]; e < slice_ptr[s + 1]; e += 16) {
+            __m256i lo = _mm256_cvtepu16_epi32(
+                _mm_loadu_si128((const __m128i *)(idx + e)));
+            __m256i hi = _mm256_cvtepu16_epi32(
+                _mm_loadu_si128((const __m128i *)(idx + e + 8)));
+            acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(
+                _mm512_loadu_pd(data + e),
+                _mm512_i32gather_pd(lo, (const void *)x, 8)));
+            acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(
+                _mm512_loadu_pd(data + e + 8),
+                _mm512_i32gather_pd(hi, (const void *)x, 8)));
+        }
+        _mm512_storeu_pd(y + 16 * s, acc0);
+        _mm512_storeu_pd(y + 16 * s + 8, acc1);
     }
 }
 
@@ -272,6 +329,24 @@ void repro_pair_chain_sell(int64_t n_slices, int64_t steps,
     if (x != out)  /* odd step count: the result sits in the scratch */
         memcpy(out, x, (size_t)n_slices * 32 * sizeof(float));
 }
+
+/* Power the exact float64 chain `steps` times, as above: x holds the
+   initial distribution on entry and the final one on return (16
+   doubles per slice), t is scratch of the same size. */
+void repro_power_f64(int64_t n_slices, int64_t steps,
+                     const int64_t *slice_ptr, const uint16_t *idx,
+                     const double *data, double *x, double *t, int simd) {
+    void (*step)(int64_t, const int64_t *, const uint16_t *,
+                 const double *, const double *, double *) =
+        (simd && avx512_supported()) ? step_avx512_f64 : step_scalar_f64;
+    double *out = x;
+    for (int64_t s = 0; s < steps; s++) {
+        step(n_slices, slice_ptr, idx, data, x, t);
+        double *tmp = x; x = t; t = tmp;
+    }
+    if (x != out)
+        memcpy(out, x, (size_t)n_slices * 16 * sizeof(double));
+}
 """
 
 #: The compile command; ``{source}`` and ``{output}`` are filled per build.
@@ -355,6 +430,12 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_int64,
         i64p, u16p, f32p,
         f32p, f32p, ctypes.c_int,
+    ]
+    library.repro_power_f64.restype = None
+    library.repro_power_f64.argtypes = [
+        ctypes.c_int64, ctypes.c_int64,
+        i64p, u16p, f64p,
+        f64p, f64p, ctypes.c_int,
     ]
     return library
 
@@ -443,22 +524,18 @@ def _union_pattern(
     return indptr, (union % MAX_STATES).astype(np.uint16), data_a, data_b
 
 
-def _sell_layout(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data_a: np.ndarray,
-    data_b: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's shared-pattern sliced-ELLPACK layout.
+def _sell_slots(
+    n: int, indptr: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each entry of a CSR operator lands in the sliced layout.
 
     Rows are permuted by descending length (the same relabelling is
     applied to the column indices, so the operator is permuted
     symmetrically) and cut into slices of :data:`SLICE_ROWS`.  A slice
     is as wide as its longest row (its first: rows are sorted) and is
-    stored column-major, both chains' values interleaved per slot.
-    Returns ``(position, slice_ptr, idx, data)``: ``position[i]`` is
-    row ``i``'s place in the permuted order.
+    stored column-major.  Returns ``(position, slice_ptr, slots)``:
+    ``position[i]`` is row ``i``'s place in the permuted order and
+    ``slots[k]`` the slot of CSR entry ``k``.
     """
     lengths = np.diff(indptr).astype(np.int64)
     perm = np.argsort(-lengths, kind="stable")
@@ -475,8 +552,24 @@ def _sell_layout(
         - SLICE_ROWS * indptr[:-1].astype(np.int64)
     )
     slots = np.repeat(row_base, lengths) + SLICE_ROWS * np.arange(
-        len(indices), dtype=np.int64
+        int(indptr[-1]), dtype=np.int64
     )
+    return position, slice_ptr, slots
+
+
+def _sell_layout(
+    n: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data_a: np.ndarray,
+    data_b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pair kernel's shared-pattern sliced-ELLPACK layout.
+
+    The slots of :func:`_sell_slots`, both chains' values interleaved
+    per slot.  Returns ``(position, slice_ptr, idx, data)``.
+    """
+    position, slice_ptr, slots = _sell_slots(n, indptr)
     idx = np.zeros(slice_ptr[-1], dtype=np.uint16)
     idx[slots] = position[indices]
     data = np.zeros((slice_ptr[-1], 2), dtype=np.float32)
@@ -626,3 +719,96 @@ def _pair_chain_f32(
     )
     full, excluded = np.ascontiguousarray(pairs[position].T)
     return full, excluded
+
+
+class ChainLayout(NamedTuple):
+    """The exact float64 chain's layout of ``A^T`` (read-only buffers)."""
+
+    #: ``position[i]``: state ``i``'s place in the permuted order.
+    position: np.ndarray
+    #: Slice ``s`` holds slots ``slice_ptr[s]:slice_ptr[s + 1]``.
+    slice_ptr: np.ndarray
+    #: Permuted source state per slot (``uint16``; padding: 0).
+    idx: np.ndarray
+    #: ``A``'s float64 value per slot (padding: 0.0).
+    data: np.ndarray
+
+
+def chain_layout_f64(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
+) -> ChainLayout:
+    """:func:`power_f64`'s layout of ``A^T``, from ``A``'s CSR pieces.
+
+    A stable counting sort of ``A``'s entries by column gives each row
+    of ``A^T`` its entries in ascending source order -- the order of
+    ``csr_matrix(A.T)`` -- without materialising the transpose; the
+    entries are then scattered into the sliced layout of
+    :func:`_sell_slots`.  The buffers are frozen.
+    """
+    n = len(indptr) - 1
+    if n > MAX_STATES:
+        raise ValueError(f"state space too large for uint16 indices: {n}")
+    nnz = int(indptr[-1])
+    # uint16 keys: numpy's stable sort is a radix (counting) sort.
+    columns = np.asarray(indices[:nnz]).astype(np.uint16)
+    order = np.argsort(columns, kind="stable")
+    indptr_t = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(columns, minlength=n), out=indptr_t[1:])
+    position, slice_ptr, slots = _sell_slots(n, indptr_t)
+    sources = np.repeat(
+        position.astype(np.uint16), np.diff(indptr).astype(np.int64)
+    )
+    idx = np.zeros(slice_ptr[-1], dtype=np.uint16)
+    idx[slots] = sources[order]
+    values = np.zeros(slice_ptr[-1], dtype=np.float64)
+    values[slots] = np.asarray(data[:nnz])[order]
+    layout = ChainLayout(position, slice_ptr, idx, values)
+    for buffer in layout:
+        buffer.setflags(write=False)
+    sanitize.guard_array("cnative.chain.idx", idx)
+    sanitize.guard_array("cnative.chain.data", values)
+    return layout
+
+
+def power_f64(layout: ChainLayout, x0: np.ndarray, steps: int) -> np.ndarray:
+    """``x0 @ A^steps`` in float64, bit-identical to scipy's matvec loop.
+
+    ``layout`` is :func:`chain_layout_f64` of ``A``; ``x0`` a 1-D
+    distribution, left unmutated.  Each step adds every row's products
+    in the order of scipy's ``csr_matvec`` on ``A^T``, so for finite
+    inputs the result equals the scipy loop's bit for bit.
+    """
+    library = _load()
+    simd = library is not None and bool(library.repro_simd_level())
+    return _power_f64(layout, x0, steps, simd=simd)
+
+
+def _power_f64(
+    layout: ChainLayout, x0: np.ndarray, steps: int, *, simd: bool
+) -> np.ndarray:
+    """:func:`power_f64` on the AVX-512 (``simd``) or scalar step."""
+    library = _load()
+    if library is None:
+        raise RuntimeError(f"native kernel unavailable: {_load_error}")
+    if simd and not library.repro_simd_level():
+        raise ValueError("the AVX-512 step needs a CPU with avx512f")
+    if np.shape(x0) != layout.position.shape:
+        raise ValueError(
+            f"distribution of shape {np.shape(x0)} for "
+            f"{len(layout.position)} states"
+        )
+    n_slices = len(layout.slice_ptr) - 1
+    x = np.zeros(n_slices * SLICE_ROWS, dtype=np.float64)
+    x[layout.position] = x0
+    scratch = np.empty_like(x)
+    library.repro_power_f64(
+        ctypes.c_int64(n_slices),
+        ctypes.c_int64(int(steps)),
+        _as_ptr(layout.slice_ptr, ctypes.c_int64),
+        _as_ptr(layout.idx, ctypes.c_uint16),
+        _as_ptr(layout.data, ctypes.c_double),
+        _as_ptr(x, ctypes.c_double),
+        _as_ptr(scratch, ctypes.c_double),
+        ctypes.c_int(int(simd)),
+    )
+    return x[layout.position]

@@ -94,9 +94,8 @@ class CompactModel:
     kernel:
         Probability-kernel selection: ``"dense"`` (the reference
         per-state builder, dense matrices), ``"sparse"`` (the vectorised
-        builder, CSR matrices and cached-transpose powering), or
-        ``"auto"`` (sparse, compiled matvecs when the ``fast`` extra is
-        installed).  ``None`` resolves the ambient default
+        builder, CSR matrices and native powering), or ``"auto"``
+        (sparse).  ``None`` resolves the ambient default
         (:func:`repro.core.kernels.resolve_kernel`).  All kernels
         produce bitwise-identical probabilities; the choice only moves
         the compute.
@@ -603,15 +602,13 @@ class CompactModel:
     ) -> TransitionOperator:
         """Memoised one-step operator ``d -> d @ A`` per exclusion set.
 
-        Hoists the sparse transpose (and, under the compiled kernel, the
-        jit dispatch) out of repeated powering.
+        Hoists the native kernel's layout (built on the first 1-D
+        power) out of repeated powering.
         """
         key = self._exclusion_key(exclude_flows)
         operator = self._operator_cache.get(key)
         if operator is None:
-            operator = TransitionOperator(
-                self.transition_matrix(key), compiled=self.kernel.compiled
-            )
+            operator = TransitionOperator(self.transition_matrix(key))
             self._operator_cache[key] = operator
         return operator
 

@@ -100,7 +100,7 @@ class ScoringStats:
     #: Parallelism the engine was configured with.
     n_jobs: int = 1
     #: Probability kernel the underlying model resolved to
-    #: (``dense``, ``sparse``, or ``sparse+numba``).
+    #: (``dense`` or ``sparse``).
     kernel: str = "dense"
     #: Simulation/screening path the run resolved to
     #: (``reference`` or ``fastpath``; repro.core.simpath).

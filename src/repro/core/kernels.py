@@ -9,13 +9,13 @@ The reproduction keeps two implementations of every probability kernel:
   tests/core/test_sparse_dense_diff.py).
 * ``sparse`` -- the production path.  Transition entries are built by
   the vectorized builder (repro.core.transition_build), matrices stay
-  ``scipy.sparse.csr_matrix``, and repeated powering goes through the
-  cached-transpose operator and incremental power chains in
-  repro.core.chain.
-* ``auto`` -- ``sparse``, plus the compiled (numba) inner matvec kernel
-  when the optional ``fast`` extra is importable.  Falls back to the
-  pure-numpy sparse path silently when numba is absent, so ``auto`` is
-  always safe to request.
+  ``scipy.sparse.csr_matrix``, and repeated powering goes through
+  repro.core.chain: the native float64 power kernel
+  (repro.core.cnative), bit-identical to scipy's matvec loop, which
+  runs in its place where the kernel is unavailable, plus incremental
+  power chains.
+* ``auto`` -- ``sparse``; the default, kept as a name so persisted job
+  specs and provenance stay valid.
 
 The resolved kernel is plumbed into experiment provenance
 (ResultDocument) so persisted results record which path produced them.
@@ -27,8 +27,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
-
-from repro.core._fastmath import HAVE_NUMBA
 
 #: Kernel names accepted by models, params, and the CLI.
 KERNEL_CHOICES = ("dense", "sparse", "auto")
@@ -45,20 +43,17 @@ class ResolvedKernel:
     requested: str
     #: The matrix/build implementation actually used.
     name: str
-    #: Whether the compiled (numba) matvec kernel is active.
-    compiled: bool
 
     def describe(self) -> str:
-        """Human/provenance label, e.g. ``"sparse+numba"``."""
-        return f"{self.name}+numba" if self.compiled else self.name
+        """Human/provenance label: the resolved name."""
+        return self.name
 
 
 def resolve_kernel(name: Optional[str] = None) -> ResolvedKernel:
     """Resolve a kernel request (or the ambient default) to an impl.
 
     ``None`` consults :data:`KERNEL_ENV_VAR` and falls back to
-    ``"auto"``.  ``auto`` means the sparse path, compiled when numba is
-    importable.
+    ``"auto"``.  ``auto`` means the sparse path.
     """
     requested = name if name is not None else _default_kernel_name()
     if requested not in KERNEL_CHOICES:
@@ -66,8 +61,8 @@ def resolve_kernel(name: Optional[str] = None) -> ResolvedKernel:
             f"unknown kernel {requested!r}; choose from {KERNEL_CHOICES}"
         )
     if requested == "auto":
-        return ResolvedKernel("auto", "sparse", HAVE_NUMBA)
-    return ResolvedKernel(requested, requested, False)
+        return ResolvedKernel("auto", "sparse")
+    return ResolvedKernel(requested, requested)
 
 
 def _default_kernel_name() -> str:

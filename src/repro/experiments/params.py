@@ -60,8 +60,7 @@ class ExperimentParams:
     #: bit-identical for every setting -- see EXPERIMENTS.md.
     trial_jobs: int = 1
     #: Probability kernel for the compact model: "dense", "sparse", or
-    #: "auto" (sparse + compiled matvecs when the ``fast`` extra is
-    #: installed).  All kernels compute identical probabilities.
+    #: "auto" (sparse).  All kernels compute identical probabilities.
     kernel: str = "auto"
     #: Simulation/screening path: "reference", "fastpath", or "auto"
     #: (the fast path).  Both paths produce bit-identical experiment

@@ -1,4 +1,4 @@
-"""Tests for the native float32 pair-chain screening kernel."""
+"""Tests for the native kernels: exact float64 chain, float32 screen."""
 
 import numpy as np
 import pytest
@@ -57,6 +57,14 @@ STEPS = [
     pytest.param(False, id="scalar"),
     pytest.param(True, id="avx512"),
 ]
+
+
+@pytest.fixture(params=STEPS)
+def simd(request):
+    """The ``simd=`` seam's value (request only after the kernel loaded)."""
+    if request.param and cnative.simd_level() != "avx512":
+        pytest.skip("CPU lacks AVX-512 (avx512f)")
+    return request.param
 
 
 class TestCacheKey:
@@ -145,12 +153,6 @@ class TestSteps:
         monkeypatch.delenv(cnative.DISABLE_ENV_VAR, raising=False)
         if not cnative.available():
             pytest.skip(f"native kernel unavailable: {cnative.load_error()}")
-
-    @pytest.fixture(params=STEPS)
-    def simd(self, request):
-        if request.param and cnative.simd_level() != "avx512":
-            pytest.skip("CPU lacks AVX-512 (avx512f)")
-        return request.param
 
     @staticmethod
     def _shared(rng, a):
@@ -354,3 +356,260 @@ class TestScreenOperator:
                 config.cache_size, kernel="sparse",
             )
             _assert_operator_matches(model, config.target_flow, ulps=0)
+
+
+def _scipy_loop(matrix: sparse.csr_matrix, x0: np.ndarray, steps: int):
+    """The reference exact chain: a transposed CSR copy, one scipy
+    ``csr_matvec`` per step (the loop the native kernel replaces)."""
+    from scipy.sparse import _sparsetools
+
+    transposed = sparse.csr_matrix(matrix.T)
+    current = np.array(x0, dtype=np.float64)
+    scratch = np.zeros_like(current)
+    for _ in range(steps):
+        scratch.fill(0.0)
+        _sparsetools.csr_matvec(
+            *transposed.shape, transposed.indptr, transposed.indices,
+            transposed.data, current, scratch,
+        )
+        current, scratch = scratch, current
+    return current
+
+
+def _random_csr(rng: np.random.Generator, n: int) -> sparse.csr_matrix:
+    return sparse.csr_matrix(_random_stochastic(rng, n))
+
+
+def _assert_bitwise(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestExactChain:
+    """The native float64 power kernel is bit-identical to scipy's loop."""
+
+    @pytest.fixture(autouse=True)
+    def _require_kernel(self, monkeypatch, reset_kernel):
+        monkeypatch.delenv(cnative.DISABLE_ENV_VAR, raising=False)
+        if not cnative.available():
+            pytest.skip(f"native kernel unavailable: {cnative.load_error()}")
+
+    @staticmethod
+    def _native(matrix, x0, steps, simd):
+        layout = cnative.chain_layout_f64(
+            matrix.indptr, matrix.indices, matrix.data
+        )
+        return cnative._power_f64(layout, x0, steps, simd=simd)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=operator_models(), steps=st.integers(0, 40))
+    def test_models_full_and_target_excluded(self, case, steps):
+        from repro.core.chain import TransitionOperator
+
+        model, target = case
+        start = model.initial_distribution()
+        for matrix in (
+            model.transition_matrix(), model.transition_matrix([target])
+        ):
+            want = _scipy_loop(matrix, start, steps)
+            _assert_bitwise(
+                TransitionOperator(matrix).power(start, steps), want
+            )
+            for simd in (False, cnative.simd_level() == "avx512"):
+                _assert_bitwise(self._native(matrix, start, steps, simd), want)
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 37])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 40])
+    def test_slice_boundaries_and_step_counts(self, simd, n, steps):
+        # n straddles the 16-row slice; odd step counts take the
+        # kernel's copy-back branch.
+        rng = np.random.default_rng(n * 100 + steps)
+        matrix = _random_csr(rng, n)
+        x0 = rng.random(n)
+        _assert_bitwise(
+            self._native(matrix, x0, steps, simd),
+            _scipy_loop(matrix, x0, steps),
+        )
+
+    def test_empty_rows_and_columns_and_a_long_row(self, simd):
+        rng = np.random.default_rng(3)
+        n = 40
+        dense = _random_stochastic(rng, n) * (rng.random((n, n)) < 0.15)
+        dense[:, [4, 9, 31]] = 0.0  # empty rows of A^T
+        dense[[2, 17], :] = 0.0  # empty rows of A (substochastic)
+        dense[:, 22] = rng.random(n) + 0.1  # one row of A^T far above the mean
+        matrix = sparse.csr_matrix(dense)
+        lengths = np.bincount(matrix.indices, minlength=n)
+        assert (lengths[[4, 9, 31]] == 0).all()
+        assert lengths.max() > 8 * lengths.mean()
+        x0 = _initial(rng, n).astype(np.float64)
+        _assert_bitwise(
+            self._native(matrix, x0, 7, simd), _scipy_loop(matrix, x0, 7)
+        )
+
+    def test_scipy_fallback_matches_the_reference_loop(self):
+        from repro.core.chain import TransitionOperator, _power_scipy
+
+        rng = np.random.default_rng(17)
+        matrix = _random_csr(rng, 37)
+        x0 = rng.random(37)
+        operator = TransitionOperator(matrix)
+        _assert_bitwise(
+            _power_scipy(operator._csr_t, x0.copy(), 11),
+            _scipy_loop(matrix, x0, 11),
+        )
+
+    def test_row_stacks_match_rows_and_the_transposed_copy(self):
+        from repro.core.chain import TransitionOperator
+
+        rng = np.random.default_rng(19)
+        n = 37
+        matrix = _random_csr(rng, n)
+        stack = rng.random((5, n))
+        got = TransitionOperator(matrix).power(stack, 6)
+        want = stack.copy()
+        transposed = sparse.csr_matrix(matrix.T)
+        for _ in range(6):
+            want = np.ascontiguousarray((transposed @ want.T).T)
+        _assert_bitwise(got, want)
+        for row in range(len(stack)):
+            _assert_bitwise(
+                got[row], TransitionOperator(matrix).power(stack[row], 6)
+            )
+
+    def test_power_chain_resume_is_bit_identical(self):
+        from repro.core.chain import PowerChain, TransitionOperator
+
+        rng = np.random.default_rng(23)
+        matrix = _random_csr(rng, 37)
+        start = _initial(rng, 37).astype(np.float64)
+        chain = PowerChain(TransitionOperator(matrix), start)
+        for steps in (3, 1, 40, 7, 41):
+            _assert_bitwise(
+                chain.advance(steps), _scipy_loop(matrix, start, steps)
+            )
+
+    def test_inputs_left_unmutated(self):
+        from repro.core.chain import TransitionOperator
+
+        rng = np.random.default_rng(29)
+        matrix = _random_csr(rng, 37)
+        x0 = rng.random(37)
+        x0.setflags(write=False)
+        buffers = [
+            array.copy()
+            for array in (matrix.indptr, matrix.indices, matrix.data, x0)
+        ]
+        operator = TransitionOperator(matrix)
+        out = operator.power(x0, 9)
+        assert out.flags.writeable and not np.shares_memory(out, x0)
+        operator.power(np.stack([x0, x0]), 9)
+        for array, copy in zip(
+            (matrix.indptr, matrix.indices, matrix.data, x0), buffers
+        ):
+            np.testing.assert_array_equal(array, copy)
+
+    def test_layout_is_frozen_and_guarded(self):
+        from repro.obs import sanitize
+
+        rng = np.random.default_rng(31)
+        matrix = _random_csr(rng, 37)
+        with sanitize.sanitized() as sanitizer:
+            layout = cnative.chain_layout_f64(
+                matrix.indptr, matrix.indices, matrix.data
+            )
+            guarded = {
+                name: array for name, (array, _) in sanitizer._arrays.items()
+            }
+        assert guarded["cnative.chain.idx"] is layout.idx
+        assert guarded["cnative.chain.data"] is layout.data
+        for buffer in layout:
+            assert not buffer.flags.writeable
+
+    def test_distribution_shape_checked(self):
+        matrix = _random_csr(np.random.default_rng(41), 5)
+        layout = cnative.chain_layout_f64(
+            matrix.indptr, matrix.indices, matrix.data
+        )
+        for bad in (np.ones(1), np.ones(6), np.ones((2, 5))):
+            with pytest.raises(ValueError, match="distribution of shape"):
+                cnative.power_f64(layout, bad, 1)
+
+    def test_state_space_bound_enforced(self):
+        from repro.core.chain import TransitionOperator
+
+        n = cnative.MAX_STATES + 1
+        identity = sparse.identity(n, format="csr")
+        with pytest.raises(ValueError, match="state space too large"):
+            cnative.chain_layout_f64(
+                identity.indptr, identity.indices, identity.data
+            )
+        # The operator falls back to the scipy loop instead.
+        x0 = np.full(n, 1.0 / n)
+        operator = TransitionOperator(identity)
+        _assert_bitwise(operator.power(x0, 2), x0)
+        assert operator._layout is False
+
+
+class TestOperatorStorage:
+    """``TransitionOperator`` holds one copy of ``A``."""
+
+    def test_shares_buffers_and_allocates_no_transposed_copy(self):
+        import tracemalloc
+
+        from repro.core.chain import TransitionOperator
+
+        rng = np.random.default_rng(37)
+        matrix = sparse.csr_matrix(
+            _random_stochastic(rng, 400) * (rng.random((400, 400)) < 0.2)
+        )
+        tracemalloc.start()
+        try:
+            operator = TransitionOperator(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A transposed copy would allocate 12 bytes per non-zero.
+        assert peak < matrix.nnz
+        view = operator._csr_t
+        assert view.nnz == matrix.nnz
+        for mine, theirs in (
+            (view.indptr, matrix.indptr),
+            (view.indices, matrix.indices),
+            (view.data, matrix.data),
+        ):
+            assert np.shares_memory(mine, theirs)
+
+    def test_matvec_counter_unchanged_with_and_without_the_kernel(
+        self, monkeypatch, reset_kernel
+    ):
+        from repro.core.engine import ProbeScoringEngine
+        from repro.core.inference import ReconInference
+        from repro.experiments.params import ExperimentParams
+        from repro.flows.config import ConfigGenerator
+        from repro.obs import Instrumentation, use_instrumentation
+
+        params = ExperimentParams()
+        config = ConfigGenerator(params.config, seed=2017).sample()
+        outcomes = []
+        for disabled in ("", "1"):
+            monkeypatch.setenv(cnative.DISABLE_ENV_VAR, disabled)
+            cnative._reset_for_tests()
+            backend = Instrumentation()
+            with use_instrumentation(backend):
+                model = CompactModel(
+                    config.policy, config.universe, config.delta,
+                    config.cache_size, kernel=params.kernel,
+                )
+                inference = ReconInference(
+                    model, config.target_flow, config.window_steps
+                )
+                probes, gain = ProbeScoringEngine(inference).best_set(3)
+            outcomes.append((
+                probes, gain,
+                backend.metrics.counter("kernel.sparse.matvecs").value,
+            ))
+        # One count per step per stacked row, as before the kernel.
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == 3896

@@ -9,9 +9,7 @@ zero-ish rates) and checks:
   kernel mirrors the reference arithmetic operation for operation);
 * evolved distributions, marginals, priors, and probe selections agree
   across kernels;
-* the incremental power chain is bit-equal to full re-powering;
-* the compiled (numba) matvec agrees bit-for-bit with the scipy path
-  (skipped unless the ``fast`` extra is installed).
+* the incremental power chain is bit-equal to full re-powering.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._fastmath import HAVE_NUMBA
 from repro.core.chain import TransitionOperator, evolve
 from repro.core.compact_model import CompactModel
 from repro.core.engine import ProbeScoringEngine
@@ -170,20 +167,4 @@ def test_operator_matches_generic_evolve(spec, steps):
     np.testing.assert_array_equal(
         TransitionOperator(matrix).power(start, steps),
         evolve(start, matrix, steps),
-    )
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="fast extra (numba) not installed")
-@settings(max_examples=15, deadline=None)
-@given(model_specs(), st.integers(0, 40))
-def test_compiled_matvec_bit_equal(spec, steps):
-    """The jit CSR matvec mirrors scipy's accumulation order exactly."""
-    model = _build(spec, "sparse")
-    matrix = model.transition_matrix()
-    start = model.initial_distribution()
-    plain = TransitionOperator(matrix, compiled=False)
-    compiled = TransitionOperator(matrix, compiled=True)
-    assert compiled.compiled
-    np.testing.assert_array_equal(
-        compiled.power(start, steps), plain.power(start, steps)
     )
